@@ -102,6 +102,8 @@ def _read_hyps_tsv(path) -> dict:
         ident, sep, text = line.partition("\t")
         if not sep:
             raise ValueError(f"{path} line {lineno}: expected id<TAB>text")
+        if ident in hyps:
+            raise ValueError(f"{path} line {lineno}: duplicate id {ident!r}")
         hyps[ident] = text
     return hyps
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ioutil import atomic_write
+
 logger = logging.getLogger(__name__)
 
 LN_EPS = 1e-5
@@ -427,12 +429,12 @@ def write_checkpoint(path, tensors: dict) -> None:
 
     Layout: <path>/tensors.bin holds the concatenated tensor bytes in
     sorted-name order; <path>/index.json maps each name to shape, dtype,
-    file, and byte offset.
+    file, and byte offset. Both files are written atomically, the index
+    last, so a reader never sees an index pointing into a partial blob.
     """
-    os.makedirs(path, exist_ok=True)
     index = {}
     offset = 0
-    with open(os.path.join(path, "tensors.bin"), "wb") as fh:
+    with atomic_write(os.path.join(path, "tensors.bin"), "wb") as fh:
         for name in sorted(tensors):
             arr = np.ascontiguousarray(tensors[name], dtype="<f4")
             fh.write(arr.tobytes())
@@ -443,27 +445,45 @@ def write_checkpoint(path, tensors: dict) -> None:
                 "offset": offset,
             }
             offset += arr.nbytes
-    with open(os.path.join(path, "index.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(path, "index.json")) as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_checkpoint(path) -> dict:
-    """Load a checkpoint directory written by write_checkpoint."""
+    """Load a checkpoint directory written by write_checkpoint.
+
+    Each index entry is validated before its bytes are read: all keys
+    present, a non-negative integer offset and dims, and the tensor's
+    float32 bytes inside its blob. A bad entry raises ValueError naming
+    the tensor.
+    """
     with open(os.path.join(path, "index.json"), encoding="utf-8") as fh:
         index = json.load(fh)
+    if not isinstance(index, dict):
+        raise ValueError(f"{path}: index.json must map tensor names to entries")
     blobs = {}
     out = {}
     for name, meta in index.items():
-        if meta["dtype"] != "float32":
-            raise ValueError(f"{name}: unsupported dtype {meta['dtype']}")
-        fname = meta["file"]
+        try:
+            shape, offset, fname, dtype = (meta[k] for k in ("shape", "offset", "file", "dtype"))
+        except (KeyError, TypeError):
+            raise ValueError(f"{name}: index entry needs keys shape, offset, file and dtype") from None
+        if dtype != "float32":
+            raise ValueError(f"{name}: unsupported dtype {dtype}")
+        if not (isinstance(fname, str) and isinstance(shape, list)
+                and all(type(v) is int and v >= 0 for v in [offset, *shape])):
+            raise ValueError(f"{name}: index entry needs a file name and non-negative integer offset and dims")
         if fname not in blobs:
             with open(os.path.join(path, fname), "rb") as fh:
                 blobs[fname] = fh.read()
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blobs[fname], dtype="<f4", count=count, offset=meta["offset"])
+        count = math.prod(shape)
+        if offset + 4 * count > len(blobs[fname]):
+            raise ValueError(
+                f"{name}: bytes {offset}..{offset + 4 * count} lie past the end of "
+                f"{fname} ({len(blobs[fname])} bytes)"
+            )
+        arr = np.frombuffer(blobs[fname], dtype="<f4", count=count, offset=offset)
         out[name] = arr.reshape(shape).copy()
     return out
 

@@ -4,6 +4,11 @@ Aligns a hypothesis word stream to reference segments by minimum total
 edit distance, tokenizes text the way the mteval-13a scorer does, and
 computes corpus BLEU-4 with exponential smoothing. Together these score
 a candidate audio segmentation against sentence-level references.
+
+All edit distances, textfilter's WER included, come from one numpy
+kernel. Aligning H hypothesis words to S segments of R words in total
+costs O(H * R) cells, run as R numpy column steps over the hypothesis
+axis per pass, and holds an S x (H+1) int64 table of suffix costs.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 NGRAM_ORDER = 4
 
@@ -65,43 +72,62 @@ def _align_key(word: str) -> str:
     return stripped if stripped else word.casefold()
 
 
-def _chain_costs(hyp_keys: list, ref_key_segments: list) -> list:
-    """Forward DP table D[s][j]: min total edit distance of assigning the
-    first j hypothesis words to the first s reference segments."""
-    nhyp = len(hyp_keys)
-    # zero segments consume zero words; leftovers are impossible
-    d_prev = [0] + [math.inf] * nhyp
-    tables = [d_prev]
-    for ref in ref_key_segments:
-        nref = len(ref)
-        # row[l] tracks min over boundary i of D_prev[i] + dist(hyp[i:j], ref[:l])
-        row = [d_prev[0] + l for l in range(nref + 1)]
-        d_cur = [row[nref]]
-        for j in range(1, nhyp + 1):
-            word = hyp_keys[j - 1]
-            new = [min(row[0] + 1, d_prev[j])]
-            for l in range(1, nref + 1):
-                new.append(
-                    min(
-                        row[l] + 1,
-                        new[l - 1] + 1,
-                        row[l - 1] + (word != ref[l - 1]),
-                    )
-                )
-            row = new
-            d_cur.append(row[nref])
-        tables.append(d_cur)
-        d_prev = d_cur
-    return tables
+def _word_ids(*sequences) -> list:
+    """Integer id arrays for word sequences that share one vocabulary."""
+    vocab = {}
+    return [np.array([vocab.setdefault(w, len(vocab)) for w in seq], dtype=np.int64) for seq in sequences]
+
+
+def _extend(d_prev: np.ndarray, hyp: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """out[j] = min over i <= j of d_prev[i] + dist(hyp[i:j], ref).
+
+    One numpy step over the hypothesis axis per reference word. The row
+    is kept as c = row - idx, so a run of hypothesis-word insertions
+    collapses to one running minimum: row = idx + minimum.accumulate(b - idx).
+    With d_prev = idx, out[j] is plain dist(hyp[:j], ref).
+    """
+    idx = np.arange(len(hyp) + 1)
+    c = np.minimum.accumulate(d_prev - idx)
+    b = np.empty_like(c)
+    for match in ref[:, None] == hyp:
+        # reference-word deletion from c[j], match or substitution from c[j-1]
+        np.add(c, 1, out=b)
+        np.minimum(b[1:], c[:-1] - match, out=b[1:])
+        np.minimum.accumulate(b, out=c)
+    return c + idx
+
+
+def _chain_costs(hyp: np.ndarray, ref_segments: list):
+    """Rows D[0], ..., D[S]: D[s][j] is the min total edit distance of
+    assigning the first j hypothesis words to the first s segments."""
+    # zero segments consume zero words; 1 << 40 marks the unreachable rest,
+    # far enough below the int64 limit that no word count overflows it
+    row = np.full(len(hyp) + 1, 1 << 40, dtype=np.int64)
+    row[0] = 0
+    yield row
+    for ref in ref_segments:
+        row = _extend(row, hyp, ref)
+        yield row
+
+
+def _align_ids(hyp_words: list, ref_segments: list) -> list:
+    if not ref_segments:
+        raise ValueError("need at least one reference segment")
+    return _word_ids(*([_align_key(w) for w in seq] for seq in (hyp_words, *ref_segments)))
+
+
+def word_edit_distance(a: list, b: list) -> int:
+    """Word-level Levenshtein distance between two token sequences."""
+    a_ids, b_ids = _word_ids(a, b)
+    return int(_extend(np.arange(len(a_ids) + 1), a_ids, b_ids)[-1])
 
 
 def alignment_cost(hyp_words: list, ref_segments: list) -> int:
     """Minimum total edit distance achievable by resegment_mwer."""
-    if not ref_segments:
-        raise ValueError("need at least one reference segment")
-    hyp_keys = [_align_key(w) for w in hyp_words]
-    ref_keys = [[_align_key(w) for w in seg] for seg in ref_segments]
-    return int(_chain_costs(hyp_keys, ref_keys)[-1][len(hyp_keys)])
+    hyp, *refs = _align_ids(hyp_words, ref_segments)
+    for row in _chain_costs(hyp, refs):
+        pass  # keep only the last row
+    return int(row[-1])
 
 
 def resegment_mwer(hyp_words: list, ref_segments: list) -> list:
@@ -112,43 +138,31 @@ def resegment_mwer(hyp_words: list, ref_segments: list) -> list:
     returned groups keep the original tokens. Among optimal splits the
     boundary vector is the lexicographically smallest, so ties fall
     toward earlier boundaries.
+
+    Cost: two passes of O(H * sum of reference lengths) cells, as one
+    numpy column step per reference word, and an S x (H+1) int64 table
+    of suffix costs.
     """
-    if not ref_segments:
-        raise ValueError("need at least one reference segment")
-    hyp_keys = [_align_key(w) for w in hyp_words]
-    ref_keys = [[_align_key(w) for w in seg] for seg in ref_segments]
-    nhyp, nseg = len(hyp_keys), len(ref_keys)
+    hyp, *refs = _align_ids(hyp_words, ref_segments)
+    nhyp, nseg = len(hyp), len(refs)
 
-    # suffix costs via the same DP on the reversed problem
-    rev_tables = _chain_costs(hyp_keys[::-1], [seg[::-1] for seg in ref_keys[::-1]])
-
-    def suffix_cost(j: int, s: int) -> float:
-        # min cost of assigning hyp[j:] to segments s..nseg-1
-        return rev_tables[nseg - s][nhyp - j]
-
-    total = suffix_cost(0, 0)
+    # suffix costs via the same DP on the reversed problem: rev[k][m] is
+    # the min cost of assigning the last m words to the last k segments
+    rev = list(_chain_costs(hyp[::-1], [seg[::-1] for seg in refs[::-1]]))
+    total = rev[nseg][nhyp]
     groups = []
     start = 0
     used = 0
-    for s, ref in enumerate(ref_keys):
-        nref = len(ref)
-        # edit distance of hyp[start:e] vs ref, extended one word at a time
-        v = list(range(nref + 1))
-        end = -1
-        for e in range(start, nhyp + 1):
-            if e > start:
-                word = hyp_keys[e - 1]
-                new = [v[0] + 1]
-                for l in range(1, nref + 1):
-                    new.append(min(v[l] + 1, new[l - 1] + 1, v[l - 1] + (word != ref[l - 1])))
-                v = new
-            if used + v[nref] + suffix_cost(e, s + 1) == total:
-                end = e
-                break
-        if end < 0:  # unreachable if the DP is consistent
+    for s, ref in enumerate(refs):
+        # dist[k] = edit distance of hyp[start:start+k] vs ref
+        dist = _extend(np.arange(nhyp - start + 1), hyp[start:], ref)
+        # the first end e whose split stays optimal: used + dist + suffix(e, s+1)
+        hits = np.flatnonzero(used + dist + rev[nseg - s - 1][nhyp - start :: -1] == total)
+        if not hits.size:  # unreachable if the DP is consistent
             raise AssertionError("boundary recovery failed")
+        end = start + int(hits[0])
         groups.append(list(hyp_words[start:end]))
-        used += v[nref]
+        used += int(dist[end - start])
         start = end
     return groups
 

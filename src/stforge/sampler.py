@@ -164,7 +164,8 @@ def read_manifest(stream) -> list:
     """Parse a tab-separated manifest with the standard header.
 
     Columns: id, audio, n_samples, n_tgt_tokens, split, src_text,
-    tgt_text. No quoting; fields must not contain tabs.
+    tgt_text. No quoting; fields must not contain tabs. Ids must be
+    unique.
     """
     lines = iter(stream.splitlines() if isinstance(stream, str) else stream)
     try:
@@ -175,6 +176,7 @@ def read_manifest(stream) -> list:
     if cols != MANIFEST_COLUMNS:
         raise ValueError(f"bad manifest header: {header!r}")
     entries = []
+    first_line = {}
     for lineno, line in enumerate(lines, start=2):
         line = line.rstrip("\n")
         if not line:
@@ -182,6 +184,9 @@ def read_manifest(stream) -> list:
         parts = line.split("\t")
         if len(parts) != len(MANIFEST_COLUMNS):
             raise ValueError(f"manifest line {lineno}: expected {len(MANIFEST_COLUMNS)} fields, got {len(parts)}")
+        seen = first_line.setdefault(parts[0], lineno)
+        if seen != lineno:
+            raise ValueError(f"manifest line {lineno}: duplicate id {parts[0]!r} (first on line {seen})")
         try:
             entries.append(
                 ManifestEntry(

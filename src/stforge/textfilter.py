@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .evalign import word_edit_distance
+
 DEFAULT_EVENT_LEXICON = frozenset({"Gelächter", "Applaus", "Musik", "Video", "Beifall"})
 
 DROP_TOO_LONG = "too_long"
@@ -181,13 +183,7 @@ def word_error_rate(hyp: list[str], ref: list[str]) -> float:
     """Word-level Levenshtein distance divided by the reference length."""
     if not ref:
         raise ValueError("empty reference")
-    prev = list(range(len(ref) + 1))
-    for i, h in enumerate(hyp, start=1):
-        cur = [i]
-        for j, r in enumerate(ref, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (h != r)))
-        prev = cur
-    return prev[len(ref)] / len(ref)
+    return word_edit_distance(hyp, ref) / len(ref)
 
 
 def clean_target(sentence: str, lexicon: frozenset = DEFAULT_EVENT_LEXICON, fix_thousands: bool = False) -> str:

@@ -57,6 +57,29 @@ def mwer_exhaustive(hyp, ref_segments):
     return best
 
 
+def mwer_dp(hyp, ref_segments):
+    """Optimal hypothesis segmentation by a boundary DP over every slice.
+
+    best[j] holds (cost, ends) for assigning hyp[:j] to the segments seen
+    so far, minimized as a tuple, so ties keep the lexicographically
+    smallest ends. Each slice is scored by a fresh edit_distance call:
+    O(S * H^2) full-matrix DPs, polynomial where mwer_exhaustive is not.
+    Returns the same (total_cost, ends) as mwer_exhaustive.
+    """
+    h = len(hyp)
+    best = [(0, [])] + [None] * h  # zero segments consume zero words
+    for seg in ref_segments:
+        best = [
+            min(
+                (best[i][0] + edit_distance(hyp[i:j], seg), best[i][1] + [j])
+                for i in range(j + 1)
+                if best[i] is not None
+            )
+            for j in range(h + 1)
+        ]
+    return best[h]
+
+
 _LETTER = re.compile(r"[A-Za-z]")
 
 

@@ -197,6 +197,19 @@ class TestFilter:
         ])
         assert rc == 1
 
+    def test_duplicate_hypothesis_id_exits_1(self, filter_fixture, tmp_path, caplog):
+        manifest, hyps = filter_fixture
+        with hyps.open("a", encoding="utf-8") as fh:
+            fh.write("m1\tdas ist ein test\n")
+        out = tmp_path / "o.tsv"
+        rc = main([
+            "filter", "--manifest", str(manifest), "--asr-hyps", str(hyps),
+            "--out", str(out), "--report", str(tmp_path / "r.tsv"),
+        ])
+        assert rc == 1
+        assert not out.exists()
+        assert f"{hyps} line 5: duplicate id 'm1'" in caplog.text
+
 
 class TestAugment:
     def test_single_wav_runs_deterministically(self, tmp_path):

@@ -1,5 +1,6 @@
 """Adapter math, length adaptor, parameter inventory, schedules, checkpoints."""
 
+import json
 import logging
 import math
 
@@ -349,6 +350,44 @@ class TestCheckpoints:
         blob = (tmp_path / "c" / "tensors.bin").read_bytes()
         want = np.array([3.0, 1.0, 2.0], dtype="<f4").tobytes()  # "a" first
         assert blob == want
+
+    def test_failed_rewrite_keeps_previous_checkpoint(self, tmp_path):
+        good = self.tensors(4)
+        write_checkpoint(tmp_path / "c", good)
+        bad = dict(good, **{"a.unconvertible": np.array(["x"])})  # sorts first: fails before any bytes
+        with pytest.raises(ValueError):
+            write_checkpoint(tmp_path / "c", bad)
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()) == ["index.json", "tensors.bin"]
+        back = read_checkpoint(tmp_path / "c")
+        for name in good:
+            np.testing.assert_array_equal(back[name], good[name])
+
+    def test_truncated_blob_names_tensor(self, tmp_path):
+        write_checkpoint(tmp_path / "c", self.tensors(5))
+        blob = tmp_path / "c" / "tensors.bin"
+        blob.write_bytes(blob.read_bytes()[:40])  # layer.bias whole, layer.weight cut
+        with pytest.raises(ValueError, match=r"layer\.weight: bytes 16\.\.64 lie past the end"):
+            read_checkpoint(tmp_path / "c")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"offset": 1 << 20}, "lie past the end"),
+            ({"offset": -4}, "non-negative integer offset"),
+            ({"offset": 1.5}, "non-negative integer offset"),
+            ({"shape": [-1, 3]}, "non-negative integer offset"),
+            ({"offset": None}, "needs keys"),
+        ],
+    )
+    def test_bad_index_entry_names_tensor(self, tmp_path, edit, message):
+        write_checkpoint(tmp_path / "c", self.tensors(6))
+        index_path = tmp_path / "c" / "index.json"
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+        index["layer.weight"].update(edit)
+        index["layer.weight"] = {k: v for k, v in index["layer.weight"].items() if v is not None}
+        index_path.write_text(json.dumps(index), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"layer\.weight: .*{message}"):
+            read_checkpoint(tmp_path / "c")
 
     def test_average_survives_interchange(self, tmp_path):
         ckpts = [self.tensors(s) for s in (2, 3)]

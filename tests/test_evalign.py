@@ -1,5 +1,6 @@
 """13a tokenization, mWER resegmentation, corpus BLEU, segmentation scoring."""
 
+import itertools
 import math
 import random
 
@@ -17,7 +18,7 @@ from stforge.evalign import (
 )
 from stforge.segmenter import Segment
 
-from oracles import bleu_recount, edit_distance, mwer_exhaustive
+from oracles import bleu_recount, edit_distance, mwer_dp, mwer_exhaustive
 
 
 class TestTokenize13a:
@@ -100,6 +101,7 @@ class TestResegment:
             groups = resegment_mwer(hyp, refs)
             got_cost = alignment_cost(hyp, refs)
             want_cost, want_ends = mwer_exhaustive(hyp, refs)
+            assert mwer_dp(hyp, refs) == (want_cost, want_ends), f"trial {trial}: oracles disagree"
             assert got_cost == want_cost, f"trial {trial}"
             got_ends = []
             pos = 0
@@ -120,6 +122,19 @@ class TestResegment:
     def test_cost_agrees_with_exhaustive_enumeration(self, hyp, refs):
         want_cost, _ = mwer_exhaustive(hyp, refs)
         assert alignment_cost(hyp, refs) == want_cost
+
+    @given(
+        st.lists(st.sampled_from("abc"), min_size=12, max_size=40),
+        st.lists(st.lists(st.sampled_from("abc"), max_size=8), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_boundary_dp_oracle_at_mid_size(self, hyp, refs):
+        # sizes beyond mwer_exhaustive's reach; a 3-word vocabulary makes ties common
+        want_cost, want_ends = mwer_dp(hyp, refs)
+        groups = resegment_mwer(hyp, refs)
+        assert alignment_cost(hyp, refs) == want_cost
+        assert list(itertools.accumulate(len(g) for g in groups)) == want_ends
+        assert sum(edit_distance(g, r) for g, r in zip(groups, refs)) == want_cost
 
 
 class TestCorpusBleu:

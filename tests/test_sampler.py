@@ -214,6 +214,12 @@ class TestManifestIO:
                 + "\nu1\ta.wav\t10\t1\tMuST-C-train\tx\ty\nu2\tshort\trow\n"
             )
 
+    def test_duplicate_id_rejected_with_line_numbers(self):
+        buf = io.StringIO()
+        write_manifest([entry("u1"), entry("u2"), entry("u1")], buf)
+        with pytest.raises(ValueError, match=r"manifest line 4: duplicate id 'u1' \(first on line 2\)"):
+            read_manifest(buf.getvalue())
+
     def test_tabs_in_fields_rejected_on_write(self):
         bad = ManifestEntry("u1", "a.wav", 1, 1, "MuST-C-train", "has\ttab", "y")
         with pytest.raises(ValueError, match="tabs"):
