@@ -16,6 +16,7 @@ from scipy.io import wavfile
 
 INT16_SCALE = 32768.0  # symmetric choice: -32768 maps to exactly -1.0
 RESAMPLE_TAPS = 64
+RESAMPLE_BLOCK = 4096  # output rows per kernel block: about 2 MB per (rows x taps) matrix
 
 
 class AudioError(Exception):
@@ -100,7 +101,8 @@ def _sinc_resample(x: np.ndarray, in_rate: float, out_rate: float) -> np.ndarray
     Output length is round(len(x) * out_rate / in_rate). The kernel is a
     Hann-windowed sinc, low-passed at min(in, out) Nyquist, with per-output
     normalization to unity DC gain. Rates may be fractional; only their
-    ratio matters.
+    ratio matters. Output rows are computed RESAMPLE_BLOCK at a time, so
+    memory stays bounded on long inputs.
     """
     n = len(x)
     ratio = out_rate / in_rate
@@ -109,17 +111,19 @@ def _sinc_resample(x: np.ndarray, in_rate: float, out_rate: float) -> np.ndarray
         return np.zeros(0)
     cutoff = min(1.0, ratio)
     half = RESAMPLE_TAPS // 2
-    # Input-time positions of output samples, and the tap grid around them.
-    t = np.arange(out_len) / ratio
-    base = np.floor(t).astype(np.int64)
     offsets = np.arange(-half + 1, half + 1)
-    idx = base[:, None] + offsets[None, :]
-    delta = idx - t[:, None]
-    kernel = cutoff * np.sinc(cutoff * delta)
-    kernel *= 0.5 + 0.5 * np.cos(np.pi * delta / half)
-    kernel /= kernel.sum(axis=1, keepdims=True)
     padded = np.concatenate([np.zeros(half), x, np.zeros(half + 1)])
-    return np.einsum("ot,ot->o", kernel, padded[idx + half])
+    out = np.empty(out_len)
+    for lo in range(0, out_len, RESAMPLE_BLOCK):
+        # Input-time positions of this block's output samples, and the tap grid around them.
+        t = np.arange(lo, min(lo + RESAMPLE_BLOCK, out_len)) / ratio
+        idx = np.floor(t).astype(np.int64)[:, None] + offsets[None, :]
+        delta = idx - t[:, None]
+        kernel = cutoff * np.sinc(cutoff * delta)
+        kernel *= 0.5 + 0.5 * np.cos(np.pi * delta / half)
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        out[lo : lo + len(t)] = np.einsum("ot,ot->o", kernel, padded[idx + half])
+    return out
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:

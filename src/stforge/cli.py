@@ -53,11 +53,13 @@ def _read_text(path) -> str:
         return fh.read()
 
 
-def _map_ordered(fn, items, jobs: int) -> list:
+def _map_ordered(fn, items, jobs: int):
+    """Yield fn(item) for each item, in input order, as results arrive."""
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        yield from map(fn, items)
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(fn, items)
 
 
 def _pick(flag_value, config_value):
@@ -173,12 +175,14 @@ def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
         params = sample_params(policy, rng)
         return name, params, apply_augmentation(clip, params)
 
-    results = _map_ordered(worker, items, args.jobs)
-    for name, _, clip in results:
+    # each clip is written as it arrives; only its parameters are kept
+    log = []
+    for name, params, clip in _map_ordered(worker, items, args.jobs):
         with atomic_write(os.path.join(args.out, f"{name}.wav"), "wb") as fh:
             write_wav(fh, clip)
+        log.append((name, params))
     with atomic_write(os.path.join(args.out, "augment_log.tsv")) as fh:
-        for name, params, _ in results:
+        for name, params in log:
             if params is None:
                 fh.write(f"{name}\t0\t-\t-\t-\t-\n")
             else:
@@ -186,7 +190,7 @@ def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
                     f"{name}\t1\t{params.tempo:.6f}\t{params.pitch_cents:.6f}"
                     f"\t{params.echo_delay_ms:.6f}\t{params.echo_decay:.6f}\n"
                 )
-    logger.info("augmented %d of %d clips", sum(1 for _, p, _ in results if p), len(results))
+    logger.info("augmented %d of %d clips", sum(1 for _, p in log if p), len(log))
     return 0
 
 

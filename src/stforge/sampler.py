@@ -123,24 +123,34 @@ def build_batches(entries: list, spec: BatchSpec) -> list:
     Entries are sorted by n_samples descending (stable) and placed
     first-fit, so batches hold similar-length examples and padding waste
     stays bounded. The result is a partition of the input.
+
+    First fit runs in O(N log N) on a max-tree over the remaining capacity
+    of every batch, opened or not (Johnson, 1974): descending into the left
+    child whenever it can hold the entry finds the leftmost batch that fits.
     """
     ordered = sorted(entries, key=lambda e: -e.n_samples)
+    cap = spec.max_batch_samples
+    size = 1 << max(len(ordered) - 1, 0).bit_length()  # leaves: one batch per entry at most
+    room = [cap] * (2 * size)  # room[i] = max(room[2i], room[2i+1]); leaves from size
     batches: list = []
-    loads: list = []
     for entry in ordered:
         if entry.n_samples > spec.max_batch_samples:
             raise ValueError(
                 f"{entry.id}: {entry.n_samples} samples exceed the "
                 f"{spec.max_batch_samples}-sample batch cap; run filter_lengths first"
             )
-        for i, load in enumerate(loads):
-            if load + entry.n_samples <= spec.max_batch_samples:
-                batches[i].append(entry)
-                loads[i] += entry.n_samples
-                break
-        else:
-            batches.append([entry])
-            loads.append(entry.n_samples)
+        need = entry.n_samples
+        node = 1
+        while node < size:
+            node = 2 * node if room[2 * node] >= need else 2 * node + 1
+        index = node - size
+        if index == len(batches):
+            batches.append([])
+        batches[index].append(entry)
+        room[node] -= need
+        while node > 1:
+            node //= 2
+            room[node] = max(room[2 * node], room[2 * node + 1])
     return batches
 
 

@@ -1,21 +1,24 @@
 """ASR-driven audio segmentation.
 
 Splits each audio file recursively on the largest untranscribable period
-found in a frame-level ASR token stream, until every segment fits under a
-maximum length or no qualifying split point remains. Frames are
-untranscribable when their token contains no ASCII letter, which is why the
-interchange format encodes the CTC blank as "" and the word separator as
-"|".
+in a frame-level ASR token stream. Frames are untranscribable when their
+token contains no ASCII letter, which is why the interchange format encodes
+the CTC blank as "" and the word separator as "|". The gap chosen for a
+span does not depend on the maximum segment length, so each transcript has
+one split tree. A segmentation is a cut of it, stopping at spans that fit
+the cap or have no usable gap; a sweep cuts one tree once per cap.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import re
 from dataclasses import dataclass
 
+import numpy as np
 import yaml
 
 LETTER_RE = re.compile(r"[A-Za-z]")
@@ -125,61 +128,59 @@ def find_gaps(t: FrameTranscript, min_gap: float) -> list[Gap]:
     if min_gap <= 0:
         raise ValueError(f"min_gap must be positive, got {min_gap}")
     threshold = _min_gap_frames(min_gap, t.frame_ms)
-    flags = [not is_transcribable(tok) for tok in t.tokens]
-    return [Gap(start, length) for start, length in _runs(flags) if length >= threshold]
+    starts, ends = _gap_runs(t)
+    return [Gap(int(s), int(e - s)) for s, e in zip(starts, ends) if e - s >= threshold]
 
 
-def _runs(flags) -> list[tuple[int, int]]:
-    """(start, length) of each maximal True run."""
-    runs = []
-    start = None
-    for i, f in enumerate(flags):
-        if f and start is None:
-            start = i
-        elif not f and start is not None:
-            runs.append((start, i - start))
-            start = None
-    if start is not None:
-        runs.append((start, len(flags) - start))
-    return runs
+def _gap_runs(t: FrameTranscript) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end frames of each maximal untranscribable run, one pass."""
+    silent = {tok for tok in set(t.tokens) if not is_transcribable(tok)}
+    flags = np.array([tok in silent for tok in t.tokens], dtype=np.int8)
+    edges = np.diff(np.pad(flags, 1))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
-def _speaker_for(audio_id: str) -> str:
-    stem = os.path.basename(audio_id)
-    return stem.rsplit(".", 1)[0] if "." in stem else stem
+def _split_tree(t: FrameTranscript, min_gap: float):
+    """Memoized ``split(start, end)``: the frame to split [start, end) at, or None.
 
-
-def split_recursive(t: FrameTranscript, cfg: SegmentationConfig) -> list[Segment]:
-    """Recursively split a transcript on its largest untranscribable period.
-
-    A span no longer than max_seg_len is emitted as one segment. Otherwise
-    the largest qualifying gap is chosen (ties go to the gap whose midpoint
-    is closest to the span center, then to the leftmost) and the span is
-    split at the gap's midpoint frame. A span with no usable gap is emitted
-    whole even when over-length: that is the algorithm's termination
-    clause. Output segments are sorted, non-overlapping, and cover
-    [0, file duration).
+    Gap runs are clipped to the span, so a child holds half of the gap its
+    parent split as a run of its own. The longest clipped run of at least
+    min_gap wins, then the midpoint closest to the span center, then the
+    leftmost. None means the span has no usable gap.
     """
-    frame_s = t.frame_ms / 1000.0
-    max_frames = int(math.floor(cfg.max_seg_len * 1000.0 / t.frame_ms + 1e-9))
-    threshold = _min_gap_frames(cfg.min_gap, t.frame_ms)
-    flags = [not is_transcribable(tok) for tok in t.tokens]
-    speaker = _speaker_for(t.audio_id)
+    starts, ends = _gap_runs(t)
+    threshold = _min_gap_frames(min_gap, t.frame_ms)
 
+    @functools.cache
+    def split(start: int, end: int):
+        lo = np.searchsorted(ends, start, side="right")
+        hi = np.searchsorted(starts, end)
+        run_start = np.maximum(starts[lo:hi], start)
+        run_len = np.minimum(ends[lo:hi], end) - run_start
+        mid = run_start + run_len // 2
+        usable = (run_len >= threshold) & (mid > start)
+        if not usable.any():
+            return None
+        # |2*mid - (start+end)| ranks midpoints by distance to the span
+        # center without floats; lexsort is stable, so the leftmost wins ties.
+        mid, dist = mid[usable], np.abs(2 * mid[usable] - (start + end))
+        return int(mid[np.lexsort((dist, -run_len[usable]))[0]])
+
+    return split
+
+
+def _cut(t: FrameTranscript, split, max_seg_len: float) -> list[Segment]:
+    """Frontier of the split tree: spans no longer than max_seg_len, or unsplittable."""
+    frame_s = t.frame_ms / 1000.0
+    max_frames = int(math.floor(max_seg_len * 1000.0 / t.frame_ms + 1e-9))
+    speaker = os.path.basename(t.audio_id).rsplit(".", 1)[0]
     segments: list[Segment] = []
     stack = [(0, len(t.tokens))]
     while stack:
         start, end = stack.pop()
-        mid = _split_point(flags, start, end, max_frames, threshold)
+        mid = None if end - start <= max_frames else split(start, end)
         if mid is None:
-            segments.append(
-                Segment(
-                    wav=t.audio_id,
-                    offset=start * frame_s,
-                    duration=(end - start) * frame_s,
-                    speaker_id=speaker,
-                )
-            )
+            segments.append(Segment(t.audio_id, start * frame_s, (end - start) * frame_s, speaker))
         else:
             # Right first so the left half is processed next (ordered output).
             stack.append((mid, end))
@@ -187,23 +188,17 @@ def split_recursive(t: FrameTranscript, cfg: SegmentationConfig) -> list[Segment
     return segments
 
 
-def _split_point(flags, start: int, end: int, max_frames: int, threshold: int):
-    """Midpoint frame of the gap to split [start, end) at, or None to emit."""
-    if end - start <= max_frames:
-        return None
-    best = None  # (num_frames, -center_distance_rank, midpoint)
-    for run_start, run_len in _runs(flags[start:end]):
-        if run_len < threshold:
-            continue
-        mid = start + run_start + run_len // 2
-        if not start < mid < end:
-            continue
-        # |2*mid - (start+end)| compares midpoint distance to the span
-        # center without floats.
-        dist = abs(2 * mid - (start + end))
-        if best is None or run_len > best[0] or (run_len == best[0] and dist < best[1]):
-            best = (run_len, dist, mid)
-    return None if best is None else best[2]
+def split_recursive(t: FrameTranscript, cfg: SegmentationConfig) -> list[Segment]:
+    """Recursively split a transcript on its largest untranscribable period.
+
+    One cut of the transcript's split tree (:func:`_split_tree`): a span no
+    longer than max_seg_len is emitted as one segment, a longer one is split
+    at the midpoint of its largest qualifying gap. A span with no usable gap
+    is emitted whole even when over-length: that is the algorithm's
+    termination clause. Output segments are sorted, non-overlapping, and
+    cover [0, file duration).
+    """
+    return _cut(t, _split_tree(t, cfg.min_gap), cfg.max_seg_len)
 
 
 def sweep_max_seg_len(
@@ -213,9 +208,11 @@ def sweep_max_seg_len(
     step: float = 1.0,
     min_gap: float = 0.2,
 ) -> dict[float, list[Segment]]:
-    """Segment every transcript once per max_seg_len value in [lo, hi].
+    """Segment every transcript at each max_seg_len value in [lo, hi].
 
-    Returns {max_seg_len: segments over all transcripts, in input order}.
+    One split tree per transcript, cut once per value: the sweep costs about
+    one segmentation, and counts cannot rise as the value grows. Returns
+    {max_seg_len: segments over all transcripts, in input order}.
     """
     if lo > hi:
         raise ValueError(f"lo must not exceed hi, got {lo} > {hi}")
@@ -223,13 +220,14 @@ def sweep_max_seg_len(
         raise ValueError(f"step must be positive, got {step}")
     result: dict[float, list[Segment]] = {}
     k = 0
-    while True:
-        value = round(lo + k * step, 9)
-        if value > hi + 1e-9:
-            break
-        cfg = SegmentationConfig(max_seg_len=value, min_gap=min_gap)
-        result[value] = [seg for t in transcripts for seg in split_recursive(t, cfg)]
+    while (value := round(lo + k * step, 9)) <= hi + 1e-9:
+        SegmentationConfig(max_seg_len=value, min_gap=min_gap)  # validates the value
+        result[value] = []
         k += 1
+    for t in transcripts:
+        split = _split_tree(t, min_gap)
+        for value, segments in result.items():
+            segments.extend(_cut(t, split, value))
     return result
 
 

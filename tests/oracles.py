@@ -121,6 +121,42 @@ def segment_spans(tokens, frame_ms, max_seg_len, min_gap):
     return rec(0, len(tokens))
 
 
+def first_fit(entries, spec):
+    """Length-sorted first-fit packing by a linear scan of every open batch."""
+    ordered = sorted(entries, key=lambda e: -e.n_samples)
+    batches, loads = [], []
+    for entry in ordered:
+        for i, load in enumerate(loads):
+            if load + entry.n_samples <= spec.max_batch_samples:
+                batches[i].append(entry)
+                loads[i] += entry.n_samples
+                break
+        else:
+            batches.append([entry])
+            loads.append(entry.n_samples)
+    return batches
+
+
+def sinc_resample(x, in_rate, out_rate, taps=64):
+    """Windowed-sinc resampling with every (out_len x taps) matrix built at once."""
+    ratio = out_rate / in_rate
+    out_len = int(np.floor(len(x) * ratio + 0.5))
+    if out_len == 0 or len(x) == 0:
+        return np.zeros(0)
+    cutoff = min(1.0, ratio)
+    half = taps // 2
+    t = np.arange(out_len) / ratio
+    base = np.floor(t).astype(np.int64)
+    offsets = np.arange(-half + 1, half + 1)
+    idx = base[:, None] + offsets[None, :]
+    delta = idx - t[:, None]
+    kernel = cutoff * np.sinc(cutoff * delta)
+    kernel *= 0.5 + 0.5 * np.cos(np.pi * delta / half)
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    padded = np.concatenate([np.zeros(half), x, np.zeros(half + 1)])
+    return np.einsum("ot,ot->o", kernel, padded[idx + half])
+
+
 def fft_peak_hz(samples, rate):
     """Dominant frequency of a waveform via a Hann-windowed FFT."""
     w = np.hanning(len(samples))

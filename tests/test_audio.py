@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stforge.audio import (
+    RESAMPLE_BLOCK,
     AudioClip,
     AudioError,
     extract_segment,
@@ -11,9 +14,10 @@ from stforge.audio import (
     normalize_zero_mean_unit_var,
     resample,
     write_wav,
+    _sinc_resample,
 )
 
-from oracles import fft_peak_hz
+from oracles import fft_peak_hz, sinc_resample
 
 
 def sine(freq=440.0, seconds=1.0, rate=16000, amp=0.5):
@@ -105,6 +109,20 @@ class TestResample:
     def test_bad_rate(self):
         with pytest.raises(ValueError):
             resample(sine(), -1)
+
+    @given(
+        st.sampled_from([RESAMPLE_BLOCK - 1, RESAMPLE_BLOCK, RESAMPLE_BLOCK + 1, 3 * RESAMPLE_BLOCK + 7]),
+        st.sampled_from([(16000, 16000), (16000, 8000), (8000, 16000), (16000, 22050), (44100, 16000)]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_blocked_matches_one_block_reference(self, out_len, rates, seed):
+        in_rate, out_rate = rates
+        n = round(out_len * in_rate / out_rate)  # output length within one row of out_len
+        x = np.random.default_rng(seed).uniform(-1, 1, n)
+        got = _sinc_resample(x, in_rate, out_rate)
+        assert abs(len(got) - out_len) <= 1
+        np.testing.assert_array_equal(got, sinc_resample(x, in_rate, out_rate))
 
 
 class TestNormalize:

@@ -22,6 +22,8 @@ from stforge.sampler import (
     write_manifest,
 )
 
+from oracles import first_fit
+
 
 def entry(ident, n_samples=16000, split="MuST-C-train", n_tgt=5):
     return ManifestEntry(ident, f"{ident}.wav", n_samples, n_tgt, split)
@@ -169,6 +171,18 @@ class TestBuildBatches:
         assert sorted(e.id for b in batches for e in b) == sorted(e.id for e in entries)
         assert all(sum(e.n_samples for e in b) <= cap for b in batches)
         assert all(b for b in batches)
+
+    @given(
+        st.lists(st.sampled_from([1, 2, 3, 250, 499, 500, 501, 999, 1000]), max_size=200),
+        st.integers(1000, 2000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_max_tree_matches_linear_first_fit(self, sizes, cap):
+        # duplicates and entries exactly at the cap included
+        sizes = sizes + [cap] * (len(sizes) % 3)
+        spec = BatchSpec(max_batch_samples=cap, max_src_samples=cap)
+        entries = [entry(f"e{i}", n_samples=s) for i, s in enumerate(sizes)]
+        assert build_batches(entries, spec) == first_fit(entries, spec)
 
 
 class TestBatchStats:

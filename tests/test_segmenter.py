@@ -173,6 +173,18 @@ class TestSplitRecursive:
             segs = split_recursive(transcript(pieces), SegmentationConfig(max_seg_len=1.0))
             assert len(segs) <= n_gaps + 1
 
+    def test_child_splits_in_clipped_half_of_parent_gap(self):
+        # The 60-frame gap at 100..160 splits the root at 130. The right
+        # child [130, 372) starts with the gap's 30-frame right half, longer
+        # than the 12-frame gap at 260..272, so it splits at 145, then on
+        # the 15 frames left of that half at 152. Seen unclipped, the half
+        # would be the whole gap with its midpoint on the span's edge.
+        tokens = ["a"] * 100 + [""] * 60 + ["b"] * 100 + ["|"] * 12 + ["c"] * 100
+        segs = split_recursive(transcript(tokens), SegmentationConfig(max_seg_len=3.0))
+        want = [(0, 130), (130, 145), (145, 152), (152, 266), (266, 372)]
+        assert spans_of(segs) == want
+        assert segment_spans(tokens, FRAME_MS, 3.0, 0.2) == want
+
 
 class TestSweep:
     def test_count_non_increasing_over_grid(self):
@@ -186,6 +198,26 @@ class TestSweep:
         assert values[0] == 5 and values[-1] == 25 and len(values) == 21
         counts = [len(swept[v]) for v in values]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_cap_is_a_cut_of_one_tree(self, seed):
+        rng = random.Random(seed)
+        tokens = []
+        for _ in range(rng.randint(1, 30)):
+            tokens.extend(rng.choice("abc") for _ in range(rng.randint(1, 80)))
+            # gaps from one frame to several times the 10-frame threshold
+            tokens.extend(rng.choice(["", "|"]) for _ in range(rng.choice([1, 5, 9, 10, 11, 19, 20, 35, 60])))
+        t = transcript(tokens)
+        lo, step = rng.choice([0.5, 1.0]), rng.choice([0.25, 0.5, 1.0])
+        swept = sweep_max_seg_len([t], lo, lo + 8 * step, step)
+        counts = []
+        for cap in sorted(swept, reverse=True):
+            spans = spans_of(swept[cap])
+            assert spans == segment_spans(tokens, FRAME_MS, cap, 0.2)
+            assert spans == spans_of(split_recursive(t, SegmentationConfig(cap)))
+            counts.append(len(spans))
+        assert counts == sorted(counts)  # segment counts never fall as the cap falls
 
     def test_fractional_step(self):
         t = transcript(random_tokens(random.Random(1), 600))
