@@ -1,10 +1,11 @@
 """Command-line entry point: every pipeline stage as a subcommand.
 
-Shared behavior: a ``--config`` file supplies defaults (overridable by
-``STFORGE_*`` environment variables, then by flags), ``--seed`` pins all
-randomness, outputs are written atomically, and reruns with identical
-inputs produce byte-identical artifacts. Exit codes: 0 success, 1
-processing error, 2 usage error.
+Shared behavior: a flag that sets a config value has its ``section.key``
+as dest, and ``config.load_config`` merges it over the ``STFORGE_*``
+environment over the ``--config`` file; stages read the typed result.
+``--seed`` pins all randomness, outputs are written atomically, and reruns
+with identical inputs produce byte-identical artifacts. Exit codes: 0
+success, 1 processing error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,28 +21,19 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import config as config_mod
 from .audio import load_wav, write_wav
-from .augment import AugmentPolicy, apply_augmentation, sample_params
+from .augment import apply_augmentation, sample_params
 from .coupling import build_reference_inventory, group_counts, lna_trainable_mask
 from .evalign import corpus_bleu, resegment_mwer, score_segmentation, tokenize_13a
 from .ioutil import atomic_write
-from .sampler import (
-    BatchSpec,
-    batch_stats,
-    build_batches,
-    epoch_sample,
-    filter_lengths,
-    read_manifest,
-    write_manifest,
-)
+from .sampler import batch_stats, build_batches, epoch_sample, filter_lengths, read_manifest, write_manifest
 from .segmenter import (
-    SegmentationConfig,
     parse_frame_transcript,
     parse_segments_yaml,
     split_recursive,
     sweep_max_seg_len,
     write_segments_yaml,
 )
-from .textfilter import FilterConfig, TranscriptPair, clean_target, filter_pair, normalize_for_asr
+from .textfilter import TranscriptPair, clean_target, filter_pair, normalize_for_asr
 
 logger = logging.getLogger("stforge.cli")
 
@@ -62,17 +54,9 @@ def _map_ordered(fn, items, jobs: int):
             yield from pool.map(fn, items)
 
 
-def _pick(flag_value, config_value):
-    return config_value if flag_value is None else flag_value
-
-
 def cmd_segment(args, cfg: config_mod.PipelineConfig) -> int:
-    seg_cfg = SegmentationConfig(
-        max_seg_len=_pick(args.max_seg_len, cfg.segmentation.max_seg_len),
-        min_gap=_pick(args.min_gap, cfg.segmentation.min_gap),
-    )
     transcripts = parse_frame_transcript(_read_text(args.transcripts))
-    per_file = _map_ordered(lambda t: split_recursive(t, seg_cfg), transcripts, args.jobs)
+    per_file = _map_ordered(lambda t: split_recursive(t, cfg.segmentation), transcripts, args.jobs)
     segments = [seg for segs in per_file for seg in segs]
     with atomic_write(args.out) as fh:
         fh.write(write_segments_yaml(segments))
@@ -82,7 +66,8 @@ def cmd_segment(args, cfg: config_mod.PipelineConfig) -> int:
 
 def cmd_sweep(args, cfg: config_mod.PipelineConfig) -> int:
     transcripts = parse_frame_transcript(_read_text(args.transcripts))
-    min_gap = _pick(args.min_gap, cfg.segmentation.min_gap)
+    # a sweep parameter like --lo/--hi: checked against each swept cap only
+    min_gap = cfg.segmentation.min_gap if args.min_gap is None else args.min_gap
     swept = sweep_max_seg_len(transcripts, args.lo, args.hi, args.step, min_gap)
     with atomic_write(args.out) as fh:
         for value in sorted(swept):
@@ -111,11 +96,6 @@ def _read_hyps_tsv(path) -> dict:
 
 
 def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
-    fcfg = FilterConfig(
-        event_lexicon=cfg.filter.event_lexicon,
-        wer_threshold=_pick(args.wer_threshold, cfg.filter.wer_threshold),
-        max_samples=_pick(args.max_samples, cfg.filter.max_samples),
-    )
     entries = read_manifest(_read_text(args.manifest))
     hyps = _read_hyps_tsv(args.asr_hyps)
     kept, dropped = [], []
@@ -127,11 +107,11 @@ def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
         fix_thousands = entry.split.startswith("EuroparlST")
         cleaned = dataclasses.replace(
             entry,
-            src_text=clean_target(entry.src_text, fcfg.event_lexicon, fix_thousands),
-            tgt_text=clean_target(entry.tgt_text, fcfg.event_lexicon, fix_thousands),
+            src_text=clean_target(entry.src_text, cfg.filter.event_lexicon, fix_thousands),
+            tgt_text=clean_target(entry.tgt_text, cfg.filter.event_lexicon, fix_thousands),
         )
         pair = TranscriptPair(cleaned.id, cleaned.n_samples, cleaned.src_text, cleaned.tgt_text)
-        decision = filter_pair(pair, normalize_for_asr(hyps[entry.id]), fcfg)
+        decision = filter_pair(pair, normalize_for_asr(hyps[entry.id]), cfg.filter)
         if decision.keep:
             kept.append(cleaned)
         else:
@@ -146,20 +126,9 @@ def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
-    base = cfg.augment_policy
-    policy = AugmentPolicy(
-        p_aug=_pick(args.p_aug, base.p_aug),
-        tempo_range=tuple(_pick(args.tempo, base.tempo_range)),
-        pitch_range_cents=tuple(_pick(args.pitch, base.pitch_range_cents)),
-        echo_delay_ms_range=tuple(_pick(args.echo_delay, base.echo_delay_ms_range)),
-        echo_decay_range=tuple(_pick(args.echo_decay, base.echo_decay_range)),
-    )
-    seed = _pick(args.seed, cfg.seed)
-    audio_root = _pick(args.audio_root, cfg.audio_root)
-
     if args.input.endswith(".tsv"):
         entries = read_manifest(_read_text(args.input))
-        items = [(e.id, os.path.join(audio_root, e.audio)) for e in entries]
+        items = [(e.id, os.path.join(cfg.audio_root, e.audio)) for e in entries]
     else:
         stem = os.path.splitext(os.path.basename(args.input))[0]
         items = [(stem, args.input)]
@@ -171,8 +140,8 @@ def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
         name, path = item
         clip = load_wav(path)
         # per-file stream: stable under reordering and parallelism
-        rng = random.Random(f"{seed}:{name}")
-        params = sample_params(policy, rng)
+        rng = random.Random(f"{cfg.seed}:{name}")
+        params = sample_params(cfg.augment_policy, rng)
         return name, params, apply_augmentation(clip, params)
 
     # each clip is written as it arrives; only its parameters are kept
@@ -196,8 +165,7 @@ def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
 
 def cmd_sample(args, cfg: config_mod.PipelineConfig) -> int:
     entries = read_manifest(_read_text(args.manifest))
-    seed = _pick(args.seed, cfg.seed)
-    chosen = epoch_sample(entries, cfg.sampling, seed * EPOCH_SEED_STRIDE + args.epoch)
+    chosen = epoch_sample(entries, cfg.sampling, cfg.seed * EPOCH_SEED_STRIDE + args.epoch)
     with atomic_write(args.out) as fh:
         write_manifest(chosen, fh)
     logger.info("epoch %d: sampled %d of %d entries", args.epoch, len(chosen), len(entries))
@@ -205,16 +173,11 @@ def cmd_sample(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_batch(args, cfg: config_mod.PipelineConfig) -> int:
-    bspec = BatchSpec(
-        max_batch_samples=_pick(args.max_batch, cfg.batch.max_batch_samples),
-        max_src_samples=cfg.batch.max_src_samples,
-        max_tgt_tokens=cfg.batch.max_tgt_tokens,
-    )
     entries = read_manifest(_read_text(args.input))
-    usable = filter_lengths(entries, bspec)
+    usable = filter_lengths(entries, cfg.batch)
     if len(usable) < len(entries):
         logger.info("dropped %d over-length entries", len(entries) - len(usable))
-    batches = build_batches(usable, bspec)
+    batches = build_batches(usable, cfg.batch)
     with atomic_write(args.out) as fh:
         for i, batch in enumerate(batches):
             row = {
@@ -313,8 +276,10 @@ def cmd_params_report(args, cfg: config_mod.PipelineConfig) -> int:
     return 0
 
 
-def _range_flag(sub, name: str, help_text: str) -> None:
-    sub.add_argument(name, nargs=2, type=float, default=None, metavar=("LO", "HI"), help=help_text)
+def _config_flag(sub, name: str, key: str, kind, metavar, help_text: str) -> None:
+    """A flag whose dest is the config key it sets; a (LO, HI) metavar takes two values."""
+    nargs = 2 if isinstance(metavar, tuple) else None
+    sub.add_argument(name, dest=key, type=kind, nargs=nargs, default=None, metavar=metavar, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,15 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Corpus engineering and evaluation for end-to-end speech translation.",
     )
     parser.add_argument("--config", default=None, help="configuration file (TOML-like)")
-    parser.add_argument("--seed", type=int, default=None, help="seed controlling all randomness")
+    _config_flag(parser, "--seed", "seeds.seed", int, "N", "seed controlling all randomness")
     parser.add_argument("--jobs", type=int, default=1, help="file-level worker count")
     parser.add_argument("-v", "--verbose", action="count", default=0, help="-v info, -vv debug")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("segment", help="split audio at untranscribable periods")
     p.add_argument("--transcripts", required=True, help="frame-transcript JSONL")
-    p.add_argument("--max-seg-len", type=float, default=None, help="max segment seconds")
-    p.add_argument("--min-gap", type=float, default=None, help="min splittable gap seconds")
+    _config_flag(p, "--max-seg-len", "segmenter.max_seg_len", float, "SECONDS", "max segment seconds")
+    _config_flag(p, "--min-gap", "segmenter.min_gap", float, "SECONDS", "min splittable gap seconds")
     p.add_argument("--out", required=True, help="segment YAML output")
     p.set_defaults(func=cmd_segment)
 
@@ -340,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, default=5.0, help="first max_seg_len value")
     p.add_argument("--hi", type=float, default=25.0, help="last max_seg_len value")
     p.add_argument("--step", type=float, default=1.0, help="grid step")
-    p.add_argument("--min-gap", type=float, default=None, help="min splittable gap seconds")
+    p.add_argument("--min-gap", type=float, default=None, metavar="SECONDS",
+                   help="min splittable gap seconds (default: segmenter.min_gap)")
     p.add_argument("--out", required=True, help="TSV of (max_seg_len, segment count)")
     p.add_argument("--seg-dir", default=None, help="also write one segment YAML per value here")
     p.set_defaults(func=cmd_sweep)
@@ -348,20 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="keep/drop training pairs")
     p.add_argument("--manifest", required=True, help="input manifest TSV")
     p.add_argument("--asr-hyps", required=True, help="TSV of id<TAB>ASR hypothesis")
-    p.add_argument("--wer-threshold", type=float, default=None, help="drop pairs above this WER")
-    p.add_argument("--max-samples", type=int, default=None, help="drop longer sources")
+    _config_flag(p, "--wer-threshold", "filter.wer_threshold", float, "WER", "drop pairs above this WER")
+    _config_flag(p, "--max-samples", "filter.max_samples", int, "SAMPLES", "drop longer sources")
     p.add_argument("--out", required=True, help="kept-entries manifest TSV")
     p.add_argument("--report", required=True, help="TSV of id<TAB>drop reason")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("augment", help="tempo/pitch/echo augmentation")
     p.add_argument("--in", dest="input", required=True, help="WAV file or manifest TSV")
-    p.add_argument("--p-aug", type=float, default=None, help="per-clip augmentation probability")
-    _range_flag(p, "--tempo", "tempo factor range")
-    _range_flag(p, "--pitch", "pitch shift range in cents")
-    _range_flag(p, "--echo-delay", "echo delay range in ms")
-    _range_flag(p, "--echo-decay", "echo decay range")
-    p.add_argument("--audio-root", default=None, help="base dir for manifest audio paths")
+    _config_flag(p, "--p-aug", "augment.p_aug", float, "P", "per-clip augmentation probability")
+    _config_flag(p, "--tempo", "augment.tempo", float, ("LO", "HI"), "tempo factor range")
+    _config_flag(p, "--pitch", "augment.pitch_cents", float, ("LO", "HI"), "pitch shift range in cents")
+    _config_flag(p, "--echo-delay", "augment.echo_delay_ms", float, ("LO", "HI"), "echo delay range in ms")
+    _config_flag(p, "--echo-decay", "augment.echo_decay", float, ("LO", "HI"), "echo decay range")
+    _config_flag(p, "--audio-root", "paths.audio_root", None, "DIR", "base dir for manifest audio paths")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_augment)
 
@@ -373,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="pack entries into size-capped batches")
     p.add_argument("--in", dest="input", required=True, help="epoch manifest TSV")
-    p.add_argument("--max-batch", type=int, default=None, help="summed-samples cap per batch")
+    _config_flag(p, "--max-batch", "batch.max_batch_samples", int, "SAMPLES", "summed-samples cap per batch")
     p.add_argument("--out", required=True, help="batches JSONL")
     p.set_defaults(func=cmd_batch)
 
@@ -402,7 +368,8 @@ def main(argv=None) -> int:
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = config_mod.load_config(args.config, dict(os.environ))
+        flags = {dest: value for dest, value in vars(args).items() if "." in dest and value is not None}
+        cfg = config_mod.load_config(args.config, dict(os.environ), flags)
         return args.func(args, cfg)
     except Exception as exc:
         logger.error("%s", exc)

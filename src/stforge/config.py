@@ -92,9 +92,15 @@ def _parse_key(text: str, pos: int, lineno: int):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the TOML-subset document into nested dicts."""
+    """Parse the TOML-subset document into nested dicts.
+
+    A key defined twice in one table is an error, even across reopened
+    section headers: a later line must not silently replace an earlier one.
+    """
     root: dict = {}
     section = root
+    path: tuple = ()
+    first_line: dict = {}  # (section path..., key) -> line that defined it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -102,11 +108,13 @@ def parse_config_text(text: str) -> dict:
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ConfigError(f"line {lineno}: unterminated section header")
-            section = root
+            section, path = root, ()
             for part in line[1:-1].strip().split("."):
                 part = part.strip()
                 if not _BARE_KEY_RE.fullmatch(part):
                     raise ConfigError(f"line {lineno}: bad section name {part!r}")
+                path += (part,)
+                first_line.setdefault(path, lineno)
                 section = section.setdefault(part, {})
                 if not isinstance(section, dict):
                     raise ConfigError(f"line {lineno}: section {part!r} collides with a value")
@@ -120,8 +128,18 @@ def parse_config_text(text: str) -> dict:
         rest = line[pos:].strip()
         if rest and not rest.startswith("#"):
             raise ConfigError(f"line {lineno}: trailing junk {rest!r}")
+        if key in section:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {first_line[path + (key,)]})")
+        first_line[path + (key,)] = lineno
         section[key] = value
     return root
+
+
+def _set(data: dict, section: str, key: str, value, source: str) -> None:
+    table = data.setdefault(section, {})
+    if not isinstance(table, dict):
+        raise ConfigError(f"{source}: {section} is not a table")
+    table[key] = value
 
 
 def apply_env_overrides(data: dict, environ: dict) -> dict:
@@ -143,7 +161,7 @@ def apply_env_overrides(data: dict, environ: dict) -> dict:
                 value = raw
         except ConfigError:
             value = raw
-        data.setdefault(section.lower(), {})[key.lower()] = value
+        _set(data, section.lower(), key.lower(), value, name)
     return data
 
 
@@ -157,104 +175,121 @@ class PipelineConfig:
     sampling: SamplingSpec = field(default_factory=SamplingSpec)
     batch: BatchSpec = field(default_factory=BatchSpec)
     audio_root: str = "."
-    output_dir: str = "."
     seed: int = 0
 
 
-def _take(section: dict, key: str, default):
-    return section.pop(key, default)
+def _table(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a table, got {value!r}")
+    return dict(value)
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _words(value, name: str) -> frozenset:
+    if not isinstance(value, list) or not all(isinstance(w, str) for w in value):
+        raise ConfigError(f"{name} must be an array of strings, got {value!r}")
+    return frozenset(value)
 
 
 def _pair(value, name: str) -> tuple:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{name} must be a 2-element array")
-    return (float(value[0]), float(value[1]))
+    return (_number(value[0], name), _number(value[1], name))
+
+
+def _ratios(value, name: str) -> dict:
+    return {str(k): _number(v, f"{name}.{k}") for k, v in _table(value, name).items()}
+
+
+class _Section:
+    """One table of the config dict; get() pops a key and checks its type."""
+
+    def __init__(self, data: dict, name: str):
+        self.name = name
+        self.table = _table(data.pop(name, {}), name)
+
+    def get(self, key: str, convert, default):
+        if key not in self.table:
+            return default
+        return convert(self.table.pop(key), f"{self.name}.{key}")
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
     """Build a PipelineConfig, defaulting every omitted key.
 
     Unknown sections or keys are errors: a typo must not silently fall
-    back to a default.
+    back to a default. So is a value of the wrong type, named by its key.
     """
-    data = {k: (dict(v) if isinstance(v, dict) else v) for k, v in data.items()}
-    defaults = PipelineConfig()
+    data = dict(data)
+    d = PipelineConfig()
+    seg, flt, aug, smp, bat, paths, seeds = sections = [
+        _Section(data, name) for name in ("segmenter", "filter", "augment", "sampler", "batch", "paths", "seeds")
+    ]
 
-    seg = data.pop("segmenter", {})
-    segmentation = SegmentationConfig(
-        max_seg_len=float(_take(seg, "max_seg_len", defaults.segmentation.max_seg_len)),
-        min_gap=float(_take(seg, "min_gap", defaults.segmentation.min_gap)),
-    )
-
-    flt = data.pop("filter", {})
-    lexicon = _take(flt, "event_lexicon", sorted(defaults.filter.event_lexicon))
-    filter_cfg = FilterConfig(
-        event_lexicon=frozenset(str(w) for w in lexicon),
-        wer_threshold=float(_take(flt, "wer_threshold", defaults.filter.wer_threshold)),
-        max_samples=int(_take(flt, "max_samples", defaults.filter.max_samples)),
-    )
-
-    aug = data.pop("augment", {})
-    policy = AugmentPolicy(
-        p_aug=float(_take(aug, "p_aug", defaults.augment_policy.p_aug)),
-        tempo_range=_pair(_take(aug, "tempo", list(defaults.augment_policy.tempo_range)), "augment.tempo"),
-        pitch_range_cents=_pair(
-            _take(aug, "pitch_cents", list(defaults.augment_policy.pitch_range_cents)), "augment.pitch_cents"
+    config = PipelineConfig(
+        segmentation=SegmentationConfig(
+            max_seg_len=seg.get("max_seg_len", _number, d.segmentation.max_seg_len),
+            min_gap=seg.get("min_gap", _number, d.segmentation.min_gap),
         ),
-        echo_delay_ms_range=_pair(
-            _take(aug, "echo_delay_ms", list(defaults.augment_policy.echo_delay_ms_range)), "augment.echo_delay_ms"
+        filter=FilterConfig(
+            event_lexicon=flt.get("event_lexicon", _words, d.filter.event_lexicon),
+            wer_threshold=flt.get("wer_threshold", _number, d.filter.wer_threshold),
+            max_samples=flt.get("max_samples", _integer, d.filter.max_samples),
         ),
-        echo_decay_range=_pair(
-            _take(aug, "echo_decay", list(defaults.augment_policy.echo_decay_range)), "augment.echo_decay"
+        augment_policy=AugmentPolicy(
+            p_aug=aug.get("p_aug", _number, d.augment_policy.p_aug),
+            tempo_range=aug.get("tempo", _pair, d.augment_policy.tempo_range),
+            pitch_range_cents=aug.get("pitch_cents", _pair, d.augment_policy.pitch_range_cents),
+            echo_delay_ms_range=aug.get("echo_delay_ms", _pair, d.augment_policy.echo_delay_ms_range),
+            echo_decay_range=aug.get("echo_decay", _pair, d.augment_policy.echo_decay_range),
         ),
+        sampling=SamplingSpec(smp.get("ratios", _ratios, d.sampling.ratios)),
+        batch=BatchSpec(
+            max_batch_samples=bat.get("max_batch_samples", _integer, d.batch.max_batch_samples),
+            max_src_samples=bat.get("max_src_samples", _integer, d.batch.max_src_samples),
+            max_tgt_tokens=bat.get("max_tgt_tokens", _integer, d.batch.max_tgt_tokens),
+        ),
+        audio_root=paths.get("audio_root", _string, d.audio_root),
+        seed=seeds.get("seed", _integer, d.seed),
     )
 
-    smp = data.pop("sampler", {})
-    ratios = _take(smp, "ratios", None)
-    sampling = SamplingSpec() if ratios is None else SamplingSpec({str(k): float(v) for k, v in ratios.items()})
-
-    bat = data.pop("batch", {})
-    batch = BatchSpec(
-        max_batch_samples=int(_take(bat, "max_batch_samples", defaults.batch.max_batch_samples)),
-        max_src_samples=int(_take(bat, "max_src_samples", defaults.batch.max_src_samples)),
-        max_tgt_tokens=int(_take(bat, "max_tgt_tokens", defaults.batch.max_tgt_tokens)),
-    )
-
-    paths = data.pop("paths", {})
-    audio_root = str(_take(paths, "audio_root", defaults.audio_root))
-    output_dir = str(_take(paths, "output_dir", defaults.output_dir))
-
-    seeds = data.pop("seeds", {})
-    seed = int(_take(seeds, "seed", defaults.seed))
-
-    leftovers = []
-    for section_name, section in [
-        ("segmenter", seg), ("filter", flt), ("augment", aug), ("sampler", smp),
-        ("batch", bat), ("paths", paths), ("seeds", seeds),
-    ]:
-        leftovers.extend(f"{section_name}.{k}" for k in section)
+    leftovers = [f"{section.name}.{k}" for section in sections for k in section.table]
     leftovers.extend(str(k) for k in data)
     if leftovers:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(leftovers))}")
-
-    return PipelineConfig(
-        segmentation=segmentation,
-        filter=filter_cfg,
-        augment_policy=policy,
-        sampling=sampling,
-        batch=batch,
-        audio_root=audio_root,
-        output_dir=output_dir,
-        seed=seed,
-    )
+    return config
 
 
-def load_config(path=None, environ: dict | None = None) -> PipelineConfig:
-    """Read the config file (if any), apply env overrides, return typed config."""
+def load_config(path=None, environ: dict | None = None, flags: dict | None = None) -> PipelineConfig:
+    """Merge defaults, the config file, env overrides and flags; return typed config.
+
+    ``flags`` maps ``section.key`` to a command-line value; it is the last
+    layer, so flags override env, which overrides the file.
+    """
     data: dict = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             data = parse_config_text(fh.read())
     if environ:
         apply_env_overrides(data, environ)
+    for dest, value in (flags or {}).items():
+        section, _, key = dest.partition(".")
+        _set(data, section, key, value, dest)
     return config_from_dict(data)

@@ -288,11 +288,6 @@ def _weight_bias(entries: list, name: str, weight_shape: tuple) -> None:
     entries.append(ParamEntry(f"{name}.bias", (weight_shape[0],)))
 
 
-def _layer_norm_entries(entries: list, name: str, dim: int) -> None:
-    entries.append(ParamEntry(f"{name}.weight", (dim,)))
-    entries.append(ParamEntry(f"{name}.bias", (dim,)))
-
-
 def _attention_entries(entries: list, name: str, dim: int) -> None:
     for proj in ("q_proj", "k_proj", "v_proj", "out_proj"):
         _weight_bias(entries, f"{name}.{proj}", (dim, dim))
@@ -315,9 +310,9 @@ def build_reference_inventory() -> ParamInventory:
     for i, (kernel, _) in enumerate(EXTRACTOR_LADDER):
         conv = f"encoder.feature_extractor.conv{i}"
         _weight_bias(entries, conv, (ch, in_ch, kernel))
-        _layer_norm_entries(entries, f"{conv}.layer_norm", ch)
+        _weight_bias(entries, f"{conv}.layer_norm", (ch,))
         in_ch = ch
-    _layer_norm_entries(entries, "encoder.post_extract_layer_norm", ch)
+    _weight_bias(entries, "encoder.post_extract_layer_norm", (ch,))
     _weight_bias(entries, "encoder.post_extract_proj", (d, ch))
     # grouped positional convolution: kernel 128, 16 groups
     entries.append(ParamEntry("encoder.pos_conv.weight", (d, d // 16, 128)))
@@ -325,13 +320,13 @@ def build_reference_inventory() -> ParamInventory:
     for i in range(ENCODER_LAYERS):
         layer = f"encoder.layers.{i}"
         _attention_entries(entries, f"{layer}.self_attn", d)
-        _layer_norm_entries(entries, f"{layer}.self_attn_layer_norm", d)
+        _weight_bias(entries, f"{layer}.self_attn_layer_norm", (d,))
         _weight_bias(entries, f"{layer}.fc1", (ffn, d))
         _weight_bias(entries, f"{layer}.fc2", (d, ffn))
-        _layer_norm_entries(entries, f"{layer}.final_layer_norm", d)
-    _layer_norm_entries(entries, "encoder.layer_norm", d)
+        _weight_bias(entries, f"{layer}.final_layer_norm", (d,))
+    _weight_bias(entries, "encoder.layer_norm", (d,))
 
-    _layer_norm_entries(entries, "adapter.layer_norm", d)
+    _weight_bias(entries, "adapter.layer_norm", (d,))
     _weight_bias(entries, "adapter.up_proj", (ADAPTER_DIM, d))
     _weight_bias(entries, "adapter.down_proj", (d, ADAPTER_DIM))
     for i in range(3):
@@ -339,17 +334,17 @@ def build_reference_inventory() -> ParamInventory:
 
     entries.append(ParamEntry("decoder.embed_tokens.weight", (VOCAB_SIZE, d)))
     entries.append(ParamEntry("decoder.embed_positions.weight", (1026, d)))
-    _layer_norm_entries(entries, "decoder.layernorm_embedding", d)
+    _weight_bias(entries, "decoder.layernorm_embedding", (d,))
     for i in range(DECODER_LAYERS):
         layer = f"decoder.layers.{i}"
         _attention_entries(entries, f"{layer}.self_attn", d)
-        _layer_norm_entries(entries, f"{layer}.self_attn_layer_norm", d)
+        _weight_bias(entries, f"{layer}.self_attn_layer_norm", (d,))
         _attention_entries(entries, f"{layer}.encoder_attn", d)
-        _layer_norm_entries(entries, f"{layer}.encoder_attn_layer_norm", d)
+        _weight_bias(entries, f"{layer}.encoder_attn_layer_norm", (d,))
         _weight_bias(entries, f"{layer}.fc1", (ffn, d))
         _weight_bias(entries, f"{layer}.fc2", (d, ffn))
-        _layer_norm_entries(entries, f"{layer}.final_layer_norm", d)
-    _layer_norm_entries(entries, "decoder.layer_norm", d)
+        _weight_bias(entries, f"{layer}.final_layer_norm", (d,))
+    _weight_bias(entries, "decoder.layer_norm", (d,))
 
     return ParamInventory(tuple(entries))
 

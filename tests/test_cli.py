@@ -1,12 +1,14 @@
 """End-to-end behavior of every subcommand through cli.main()."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from stforge.audio import AudioClip, load_wav, write_wav
-from stforge.cli import EPOCH_SEED_STRIDE, main
+from stforge.cli import EPOCH_SEED_STRIDE, build_parser, main
+from stforge.config import config_from_dict
 from stforge.sampler import ManifestEntry, SamplingSpec, epoch_sample, read_manifest, write_manifest
 from stforge.segmenter import Segment, parse_segments_yaml, write_segments_yaml
 
@@ -144,6 +146,17 @@ class TestSweep:
         assert names == ["max_seg_len_10.yaml", "max_seg_len_8.yaml", "max_seg_len_9.yaml"]
         for name in names:
             parse_segments_yaml((segdir / name).read_text(encoding="utf-8"))
+
+    def test_min_gap_is_checked_against_the_swept_caps(self, frames_file, tmp_path):
+        # 25 s exceeds the default segmenter.max_seg_len of 22 s, but the
+        # sweep's --min-gap only has to stay below the swept caps
+        out = tmp_path / "sweep.tsv"
+        rc = main([
+            "sweep", "--transcripts", str(frames_file),
+            "--lo", "30", "--hi", "32", "--min-gap", "25", "--out", str(out),
+        ])
+        assert rc == 0
+        assert out.read_text(encoding="utf-8") == "30\t2\n31\t2\n32\t2\n"
 
 
 class TestFilter:
@@ -450,6 +463,28 @@ class TestParamsReport:
         out = capsys.readouterr().out
         assert "trainable parameters: 169,164,800" in out
         assert "trainable fraction: 0.2136" in out
+
+
+def _all_actions(parser):
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _all_actions(sub)
+
+
+# a value each flag's type accepts that passes the config's range checks
+_SAMPLE_VALUE = {float: 1.0, int: 1_000_000, None: "x"}
+
+
+def test_every_dotted_flag_dest_is_a_config_key():
+    dotted = [a for a in _all_actions(build_parser()) if "." in a.dest]
+    assert len(dotted) == 12
+    for action in dotted:
+        section, key = action.dest.split(".", 1)
+        value = [0.1, 0.2] if action.nargs == 2 else _SAMPLE_VALUE[action.type]
+        config_from_dict({section: {key: value}})
+        assert action.metavar is not None, action.dest
 
 
 class TestConfigPrecedence:

@@ -86,6 +86,21 @@ class TestParseConfigText:
         with pytest.raises(ConfigError, match="bad escape"):
             parse_config_text('[x]\na = "\\q"\n')
 
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"line 3: duplicate key 'a' \(first on line 2\)"):
+            parse_config_text("[x]\na = 1\na = 2\n")
+
+    def test_duplicate_key_across_reopened_section(self):
+        with pytest.raises(ConfigError, match=r"line 5: duplicate key 'a' \(first on line 2\)"):
+            parse_config_text("[x]\na = 1\n[y]\n[x]\na = 2\n")
+
+    def test_key_replacing_section_rejected(self):
+        with pytest.raises(ConfigError, match=r"line 4: duplicate key 'ratios' \(first on line 1\)"):
+            parse_config_text("[sampler.ratios]\nA = 1.0\n[sampler]\nratios = 5\n")
+
+    def test_same_key_in_different_tables_allowed(self):
+        assert parse_config_text("[x]\na = 1\n[y]\na = 2\n") == {"x": {"a": 1}, "y": {"a": 2}}
+
 
 class TestEnvOverrides:
     def test_typed_override(self):
@@ -124,7 +139,7 @@ class TestConfigFromDict:
         assert cfg.batch.max_src_samples == 400_000
         assert cfg.batch.max_tgt_tokens == 1024
         assert cfg.seed == 0
-        assert cfg.audio_root == "." and cfg.output_dir == "."
+        assert cfg.audio_root == "."
 
     def test_partial_section_keeps_other_defaults(self):
         cfg = config_from_dict({"filter": {"wer_threshold": 0.3}})
@@ -183,3 +198,79 @@ class TestLoadConfig:
     def test_env_only(self):
         cfg = load_config(None, {"STFORGE_BATCH_MAX_TGT_TOKENS": "2048"})
         assert cfg.batch.max_tgt_tokens == 2048
+
+    def test_flags_are_the_last_layer(self, tmp_path):
+        path = tmp_path / "st.toml"
+        path.write_text("[segmenter]\nmax_seg_len = 10\nmin_gap = 0.5\n", encoding="utf-8")
+        cfg = load_config(
+            path, {"STFORGE_SEGMENTER_MAX_SEG_LEN": "15"}, {"segmenter.max_seg_len": 8.0, "seeds.seed": 4}
+        )
+        assert cfg.segmentation.max_seg_len == 8.0
+        assert cfg.segmentation.min_gap == 0.5
+        assert cfg.seed == 4
+
+    def test_flags_get_the_file_checks(self):
+        with pytest.raises(ConfigError, match="unknown config keys: segmenter.max_len"):
+            load_config(None, None, {"segmenter.max_len": 8.0})
+        with pytest.raises(ValueError, match="max_seg_len > min_gap"):
+            load_config(None, None, {"segmenter.max_seg_len": 0.1})
+
+
+def _from_file(tmp_path, text):
+    path = tmp_path / "st.toml"
+    path.write_text(text, encoding="utf-8")
+    return load_config(path)
+
+
+class TestWrongValueTypes:
+    """Each wrong type is an error naming its key, from the file and from the env."""
+
+    def test_event_lexicon_string(self, tmp_path):
+        with pytest.raises(ConfigError, match="filter.event_lexicon must be an array of strings"):
+            _from_file(tmp_path, '[filter]\nevent_lexicon = "Applaus"\n')
+        with pytest.raises(ConfigError, match="filter.event_lexicon must be an array of strings"):
+            load_config(None, {"STFORGE_FILTER_EVENT_LEXICON": "Applaus"})
+
+    def test_event_lexicon_array_from_env(self):
+        cfg = load_config(None, {"STFORGE_FILTER_EVENT_LEXICON": '["Applaus"]'})
+        assert cfg.filter.event_lexicon == frozenset({"Applaus"})
+
+    def test_scalar_section(self, tmp_path):
+        with pytest.raises(ConfigError, match="segmenter must be a table"):
+            _from_file(tmp_path, "segmenter = 5\n")
+        with pytest.raises(ConfigError, match="STFORGE_SEGMENTER_MAX_SEG_LEN: segmenter is not a table"):
+            load_config(tmp_path / "st.toml", {"STFORGE_SEGMENTER_MAX_SEG_LEN": "9"})
+
+    def test_scalar_ratios(self, tmp_path):
+        with pytest.raises(ConfigError, match="sampler.ratios must be a table"):
+            _from_file(tmp_path, "[sampler]\nratios = 5\n")
+        with pytest.raises(ConfigError, match="sampler.ratios must be a table"):
+            load_config(None, {"STFORGE_SAMPLER_RATIOS": "5"})
+
+    def test_ratio_value_not_a_number(self, tmp_path):
+        with pytest.raises(ConfigError, match="sampler.ratios.A must be a number"):
+            _from_file(tmp_path, '[sampler.ratios]\nA = "half"\n')
+
+    def test_boolean_number(self, tmp_path):
+        with pytest.raises(ConfigError, match="segmenter.max_seg_len must be a number, got True"):
+            _from_file(tmp_path, "[segmenter]\nmax_seg_len = true\n")
+        with pytest.raises(ConfigError, match="segmenter.max_seg_len must be a number, got True"):
+            load_config(None, {"STFORGE_SEGMENTER_MAX_SEG_LEN": "true"})
+
+    def test_integer_keys(self, tmp_path):
+        with pytest.raises(ConfigError, match="batch.max_tgt_tokens must be an integer, got 2.5"):
+            _from_file(tmp_path, "[batch]\nmax_tgt_tokens = 2.5\n")
+        with pytest.raises(ConfigError, match="seeds.seed must be an integer, got 'abc'"):
+            load_config(None, {"STFORGE_SEEDS_SEED": "abc"})
+
+    def test_string_key(self, tmp_path):
+        with pytest.raises(ConfigError, match="paths.audio_root must be a string"):
+            _from_file(tmp_path, "[paths]\naudio_root = [1]\n")
+
+    def test_range_element(self, tmp_path):
+        with pytest.raises(ConfigError, match="augment.tempo must be a number"):
+            _from_file(tmp_path, '[augment]\ntempo = [0.9, "fast"]\n')
+
+    def test_output_dir_is_gone(self):
+        with pytest.raises(ConfigError, match="unknown config keys: paths.output_dir"):
+            config_from_dict({"paths": {"output_dir": "out"}})
