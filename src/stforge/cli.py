@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stforge",
         description="Corpus engineering and evaluation for end-to-end speech translation.",
     )
-    parser.add_argument("--config", default=None, help="configuration file (TOML-like)")
+    parser.add_argument("--config", default=None, help="configuration file (TOML)")
     _config_flag(parser, "--seed", "seeds.seed", int, "N", "seed controlling all randomness")
     parser.add_argument("--jobs", type=int, default=1, help="file-level worker count")
     parser.add_argument("-v", "--verbose", action="count", default=0, help="-v info, -vv debug")
@@ -380,3 +380,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -1,14 +1,14 @@
 """Pipeline configuration: one key/value document for every constant.
 
-The file format is a small TOML subset: ``[dotted.section]`` headers,
-``key = value`` lines with string/number/boolean/array values, and ``#``
-comments. Environment variables prefixed ``STFORGE_`` override file
-values, and command-line flags override both.
+The file is standard TOML, read by the standard library's ``tomllib``.
+Environment variables prefixed ``STFORGE_`` override file values, and
+command-line flags override both.
 """
 
 from __future__ import annotations
 
-import re
+import math
+import tomllib
 from dataclasses import dataclass, field
 
 from .augment import AugmentPolicy
@@ -18,121 +18,22 @@ from .textfilter import FilterConfig
 
 ENV_PREFIX = "STFORGE_"
 
-_BARE_KEY_RE = re.compile(r"[A-Za-z0-9_-]+")
-_NUMBER_RE = re.compile(r"[+-]?(\d+\.\d*([eE][+-]?\d+)?|\d+[eE][+-]?\d+|\.\d+([eE][+-]?\d+)?|\d+)")
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
-
 
 class ConfigError(ValueError):
     """Malformed configuration text or unknown keys."""
 
 
-def _parse_string(text: str, pos: int, lineno: int):
-    # pos points at the opening quote
-    out = []
-    i = pos + 1
-    while i < len(text):
-        ch = text[i]
-        if ch == '"':
-            return "".join(out), i + 1
-        if ch == "\\":
-            if i + 1 >= len(text) or text[i + 1] not in _ESCAPES:
-                raise ConfigError(f"line {lineno}: bad escape in string")
-            out.append(_ESCAPES[text[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    raise ConfigError(f"line {lineno}: unterminated string")
-
-
-def _parse_value(text: str, pos: int, lineno: int):
-    while pos < len(text) and text[pos] in " \t":
-        pos += 1
-    if pos >= len(text):
-        raise ConfigError(f"line {lineno}: missing value")
-    ch = text[pos]
-    if ch == '"':
-        return _parse_string(text, pos, lineno)
-    if ch == "[":
-        items = []
-        pos += 1
-        while True:
-            while pos < len(text) and text[pos] in " \t":
-                pos += 1
-            if pos >= len(text):
-                raise ConfigError(f"line {lineno}: unterminated array")
-            if text[pos] == "]":
-                return items, pos + 1
-            value, pos = _parse_value(text, pos, lineno)
-            items.append(value)
-            while pos < len(text) and text[pos] in " \t":
-                pos += 1
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-    if text.startswith("true", pos):
-        return True, pos + 4
-    if text.startswith("false", pos):
-        return False, pos + 5
-    m = _NUMBER_RE.match(text, pos)
-    if m:
-        token = m.group()
-        value = int(token) if re.fullmatch(r"[+-]?\d+", token) else float(token)
-        return value, m.end()
-    raise ConfigError(f"line {lineno}: cannot parse value at {text[pos:pos + 20]!r}")
-
-
-def _parse_key(text: str, pos: int, lineno: int):
-    if text[pos] == '"':
-        return _parse_string(text, pos, lineno)
-    m = _BARE_KEY_RE.match(text, pos)
-    if not m:
-        raise ConfigError(f"line {lineno}: bad key at {text[pos:pos + 20]!r}")
-    return m.group(), m.end()
-
-
 def parse_config_text(text: str) -> dict:
-    """Parse the TOML-subset document into nested dicts.
+    """Parse a TOML document into nested dicts.
 
-    A key defined twice in one table is an error, even across reopened
-    section headers: a later line must not silently replace an earlier one.
+    TOML rejects a key set twice, a key that would replace a table and a
+    table declared twice, so a later line never silently replaces an
+    earlier one. Errors name the line and column.
     """
-    root: dict = {}
-    section = root
-    path: tuple = ()
-    first_line: dict = {}  # (section path..., key) -> line that defined it
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"line {lineno}: unterminated section header")
-            section, path = root, ()
-            for part in line[1:-1].strip().split("."):
-                part = part.strip()
-                if not _BARE_KEY_RE.fullmatch(part):
-                    raise ConfigError(f"line {lineno}: bad section name {part!r}")
-                path += (part,)
-                first_line.setdefault(path, lineno)
-                section = section.setdefault(part, {})
-                if not isinstance(section, dict):
-                    raise ConfigError(f"line {lineno}: section {part!r} collides with a value")
-            continue
-        key, pos = _parse_key(line, 0, lineno)
-        while pos < len(line) and line[pos] in " \t":
-            pos += 1
-        if pos >= len(line) or line[pos] != "=":
-            raise ConfigError(f"line {lineno}: expected '=' after key {key!r}")
-        value, pos = _parse_value(line, pos + 1, lineno)
-        rest = line[pos:].strip()
-        if rest and not rest.startswith("#"):
-            raise ConfigError(f"line {lineno}: trailing junk {rest!r}")
-        if key in section:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {first_line[path + (key,)]})")
-        first_line[path + (key,)] = lineno
-        section[key] = value
-    return root
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _set(data: dict, section: str, key: str, value, source: str) -> None:
@@ -146,7 +47,9 @@ def apply_env_overrides(data: dict, environ: dict) -> dict:
     """Fold STFORGE_<SECTION>_<KEY> variables into the config dict.
 
     The first underscore after the prefix splits section from key, so
-    only top-level scalar keys are addressable this way.
+    only top-level scalar keys are addressable this way. A value is the
+    TOML value of the document ``v = <value>`` when that document holds
+    just the key ``v``, and the raw string otherwise.
     """
     for name, raw in sorted(environ.items()):
         if not name.startswith(ENV_PREFIX):
@@ -156,11 +59,10 @@ def apply_env_overrides(data: dict, environ: dict) -> dict:
         if not section or not key:
             raise ConfigError(f"{name}: expected {ENV_PREFIX}<SECTION>_<KEY>")
         try:
-            value, pos = _parse_value(raw, 0, 0)
-            if raw[pos:].strip():
-                value = raw
-        except ConfigError:
-            value = raw
+            parsed = tomllib.loads(f"v = {raw}")
+        except tomllib.TOMLDecodeError:
+            parsed = {}
+        value = parsed["v"] if parsed.keys() == {"v"} else raw
         _set(data, section.lower(), key.lower(), value, name)
     return data
 
@@ -187,6 +89,8 @@ def _table(value, name: str) -> dict:
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -286,7 +190,11 @@ def load_config(path=None, environ: dict | None = None, flags: dict | None = Non
     data: dict = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            data = parse_config_text(fh.read())
+            text = fh.read()
+        try:
+            data = parse_config_text(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     if environ:
         apply_env_overrides(data, environ)
     for dest, value in (flags or {}).items():

@@ -521,6 +521,20 @@ class TestConfigPrecedence:
         assert rc == 0
         assert len(parse_segments_yaml(out.read_text(encoding="utf-8"))) == 4
 
+    def test_config_parse_error_names_the_file(self, tmp_path, caplog):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text("[x]\na = 1\na = 2\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "params-report"]) == 1
+        assert "run.toml" in caplog.text and "line 3" in caplog.text
+
+    def test_infinite_flag_value_names_the_key(self, frames_file, tmp_path, caplog):
+        rc = main([
+            "segment", "--transcripts", str(frames_file),
+            "--max-seg-len", "inf", "--out", str(tmp_path / "o.yaml"),
+        ])
+        assert rc == 1
+        assert "segmenter.max_seg_len must be a finite number, got inf" in caplog.text
+
     def test_bad_config_exits_1(self, frames_file, tmp_path):
         cfg = tmp_path / "st.toml"
         cfg.write_text("[filter]\nevents = [1]\n", encoding="utf-8")

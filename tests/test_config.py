@@ -1,5 +1,9 @@
 """Config file parsing, environment overrides, and typed defaults."""
 
+import math
+import pathlib
+import re
+
 import pytest
 
 from stforge.config import (
@@ -75,31 +79,35 @@ class TestParseConfigText:
             parse_config_text("[x]\na = 1\nb = @@\n")
 
     def test_trailing_junk_rejected(self):
-        with pytest.raises(ConfigError, match="trailing junk"):
+        with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("[x]\na = 1 extra\n")
 
     def test_unterminated_string(self):
-        with pytest.raises(ConfigError, match="unterminated"):
+        with pytest.raises(ConfigError, match="line 2"):
             parse_config_text('[x]\na = "oops\n')
 
     def test_bad_escape(self):
-        with pytest.raises(ConfigError, match="bad escape"):
+        with pytest.raises(ConfigError, match="line 2"):
             parse_config_text('[x]\na = "\\q"\n')
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError, match=r"line 3: duplicate key 'a' \(first on line 2\)"):
+        with pytest.raises(ConfigError, match=r"Cannot overwrite a value \(at line 3"):
             parse_config_text("[x]\na = 1\na = 2\n")
 
     def test_duplicate_key_across_reopened_section(self):
-        with pytest.raises(ConfigError, match=r"line 5: duplicate key 'a' \(first on line 2\)"):
+        with pytest.raises(ConfigError, match=r"Cannot declare \('x',\) twice \(at line 4"):
             parse_config_text("[x]\na = 1\n[y]\n[x]\na = 2\n")
 
     def test_key_replacing_section_rejected(self):
-        with pytest.raises(ConfigError, match=r"line 4: duplicate key 'ratios' \(first on line 1\)"):
+        with pytest.raises(ConfigError, match=r"Cannot overwrite a value \(at line 4"):
             parse_config_text("[sampler.ratios]\nA = 1.0\n[sampler]\nratios = 5\n")
 
     def test_same_key_in_different_tables_allowed(self):
         assert parse_config_text("[x]\na = 1\n[y]\na = 2\n") == {"x": {"a": 1}, "y": {"a": 2}}
+
+    def test_standard_toml_forms(self):
+        data = parse_config_text("[x]\nlit = 'C:\\wavs'\nhex = 0xff\nbig = 1_000\nt = { a = 1 }\n")
+        assert data == {"x": {"lit": "C:\\wavs", "hex": 255, "big": 1000, "t": {"a": 1}}}
 
 
 class TestEnvOverrides:
@@ -209,6 +217,12 @@ class TestLoadConfig:
         assert cfg.segmentation.min_gap == 0.5
         assert cfg.seed == 4
 
+    def test_parse_error_names_the_file(self, tmp_path):
+        path = tmp_path / "run.toml"
+        path.write_text("[x]\na = 1\na = 2\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: Cannot overwrite a value (at line 3")):
+            load_config(path)
+
     def test_flags_get_the_file_checks(self):
         with pytest.raises(ConfigError, match="unknown config keys: segmenter.max_len"):
             load_config(None, None, {"segmenter.max_len": 8.0})
@@ -271,6 +285,31 @@ class TestWrongValueTypes:
         with pytest.raises(ConfigError, match="augment.tempo must be a number"):
             _from_file(tmp_path, '[augment]\ntempo = [0.9, "fast"]\n')
 
+    def test_non_finite_numbers(self, tmp_path):
+        with pytest.raises(ConfigError, match="filter.wer_threshold must be a finite number, got nan"):
+            load_config(None, None, {"filter.wer_threshold": math.nan})
+        with pytest.raises(ConfigError, match="filter.wer_threshold must be a finite number, got nan"):
+            _from_file(tmp_path, "[filter]\nwer_threshold = nan\n")
+        with pytest.raises(ConfigError, match="segmenter.max_seg_len must be a finite number, got inf"):
+            load_config(None, {"STFORGE_SEGMENTER_MAX_SEG_LEN": "inf"})
+        with pytest.raises(ConfigError, match="augment.tempo must be a finite number, got -inf"):
+            _from_file(tmp_path, "[augment]\ntempo = [-inf, 1.3]\n")
+
     def test_output_dir_is_gone(self):
         with pytest.raises(ConfigError, match="unknown config keys: paths.output_dir"):
             config_from_dict({"paths": {"output_dir": "out"}})
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_example_loads(tmp_path):
+    """The README's example config is a valid file and reads as documented."""
+    block = re.search(r"```toml\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    cfg = _from_file(tmp_path, block)
+    assert cfg.segmentation.max_seg_len == 22.0
+    assert cfg.filter.event_lexicon == frozenset({"Gelächter", "Applaus", "Musik", "Video", "Beifall"})
+    assert cfg.augment_policy.pitch_range_cents == (-300.0, 300.0)
+    assert cfg.sampling.ratios == {"MuST-C-train": 1.0, "CoVoST-train": 0.3}
+    assert cfg.batch.max_tgt_tokens == 1024
+    assert cfg.audio_root == "."

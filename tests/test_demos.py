@@ -1,4 +1,4 @@
-"""Smoke test: the command-line demo runs end to end in a fresh interpreter."""
+"""Smoke tests: the command line runs end to end in a fresh interpreter."""
 
 import os
 import pathlib
@@ -8,12 +8,19 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_cli_pipeline_demo_exits_0():
-    # the demo's flags, not stray STFORGE_* settings, must decide its config
+def _run(*args):
+    # the command's flags, not stray STFORGE_* settings, must decide its config
     env = {k: v for k, v in os.environ.items() if not k.startswith("STFORGE_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "08_cli_pipeline.py")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_pipeline_demo_exits_0():
+    proc = _run(str(ROOT / "demos" / "08_cli_pipeline.py"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_python_m_stforge_cli_runs_the_cli():
+    proc = _run("-m", "stforge.cli", "params-report")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "total parameters: 791,888,384" in proc.stdout
