@@ -9,14 +9,16 @@ load by dividing by 32768.
 from __future__ import annotations
 
 import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 INT16_SCALE = 32768.0  # symmetric choice: -32768 maps to exactly -1.0
 RESAMPLE_TAPS = 64
 RESAMPLE_BLOCK = 4096  # output rows per kernel block: about 2 MB per (rows x taps) matrix
+_WAVE_DTYPES = {(1, 16): "<i2", (3, 32): "<f4"}  # (format tag, bits per sample): PCM16, IEEE float32
+_PCM16_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")  # RIFF, fmt (tag, channels, rate, byte rate, align, bits), data
 
 
 class AudioError(Exception):
@@ -54,45 +56,67 @@ class AudioClip:
 
 
 def load_wav(path) -> AudioClip:
-    """Read a mono PCM WAV file (16-bit int or 32-bit float).
+    """Read a mono RIFF WAV file holding 16-bit PCM or 32-bit float samples.
 
-    Integer samples are scaled to [-1, 1] by dividing by 32768. Raises
-    :class:`AudioError` with the offending path for missing files,
-    non-mono data, and unsupported encodings.
+    Chunks other than ``fmt `` and ``data`` are skipped, and an extensible
+    format is read by its sub-format tag. Integer samples are scaled to
+    [-1, 1] by dividing by 32768. Raises :class:`AudioError` naming the
+    path for unreadable, truncated or malformed files, non-mono data,
+    unsupported encodings and a zero sample rate.
     """
     path = os.fspath(path)
     if not os.path.isfile(path):
         raise AudioError(f"{path}: no such file")
     try:
-        rate, data = wavfile.read(path)
-    except Exception as exc:
+        with open(path, "rb") as fh:
+            raw = memoryview(fh.read())
+    except OSError as exc:
         raise AudioError(f"{path}: not a readable WAV file ({exc})") from exc
-    if data.ndim != 1:
-        raise AudioError(f"{path}: non-mono ({data.shape[1]} channels)")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / INT16_SCALE
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise AudioError(f"{path}: unsupported encoding {data.dtype} (need int16 or float32)")
-    return AudioClip(samples, int(rate))
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise AudioError(f"{path}: not a RIFF/WAVE file")
+    chunks, pos = {}, 12
+    while pos + 8 <= len(raw) and not (b"fmt " in chunks and b"data" in chunks):
+        cid, size = struct.unpack_from("<4sI", raw, pos)
+        if pos + 8 + size > len(raw):
+            raise AudioError(f"{path}: {cid.decode('latin-1')!r} chunk runs past the end of the file")
+        chunks.setdefault(cid, raw[pos + 8 : pos + 8 + size])
+        pos += 8 + size + size % 2  # an odd-sized chunk is followed by a pad byte
+    for cid in (b"fmt ", b"data"):
+        if cid not in chunks:
+            raise AudioError(f"{path}: no {cid.decode()!r} chunk")
+    fmt, data = chunks[b"fmt "], chunks[b"data"]
+    if len(fmt) < 16:
+        raise AudioError(f"{path}: 'fmt ' chunk of {len(fmt)} bytes is too short")
+    tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == 0xFFFE and len(fmt) >= 26:  # WAVE_FORMAT_EXTENSIBLE: the real tag opens the sub-format GUID
+        (tag,) = struct.unpack_from("<H", fmt, 24)
+    if channels != 1:
+        raise AudioError(f"{path}: non-mono ({channels} channels)")
+    if (tag, bits) not in _WAVE_DTYPES:
+        raise AudioError(f"{path}: unsupported encoding (format tag {tag}, {bits} bits) (need int16 or float32)")
+    if rate == 0:
+        raise AudioError(f"{path}: sample rate 0")
+    samples = np.frombuffer(data, _WAVE_DTYPES[tag, bits], count=len(data) // (bits // 8)).astype(np.float64)
+    if tag == 1:
+        samples /= INT16_SCALE
+    return AudioClip(samples, rate)
 
 
-def write_wav(path, clip: AudioClip, encoding: str = "pcm16") -> None:
-    """Write a clip as RIFF WAV; ``encoding`` is ``pcm16`` or ``float32``.
+def write_wav(path, clip: AudioClip) -> None:
+    """Write a clip as a mono 16-bit PCM RIFF WAV file with a 44-byte header.
 
-    pcm16 rounds samples*32768 and clips to the int16 range, so a clip
-    loaded from a 16-bit file round-trips bit-exactly. ``path`` may be
-    an open binary file object.
+    Samples are multiplied by 32768, rounded and clipped to the int16
+    range, so a clip loaded from a 16-bit file round-trips bit-exactly.
+    ``path`` may be an open binary file object.
     """
-    target = path if hasattr(path, "write") else os.fspath(path)
-    if encoding == "pcm16":
-        ints = np.clip(np.round(clip.samples * INT16_SCALE), -32768, 32767).astype(np.int16)
-        wavfile.write(target, clip.sample_rate, ints)
-    elif encoding == "float32":
-        wavfile.write(target, clip.sample_rate, clip.samples.astype(np.float32))
+    ints = np.clip(np.round(clip.samples * INT16_SCALE), -32768, 32767).astype("<i2")
+    rate, size = clip.sample_rate, ints.nbytes
+    header = _PCM16_HEADER.pack(b"RIFF", 36 + size, b"WAVE", b"fmt ", 16, 1, 1, rate, 2 * rate, 2, 16, b"data", size)
+    if hasattr(path, "write"):
+        path.write(header + ints.tobytes())
     else:
-        raise ValueError(f"unknown encoding {encoding!r}")
+        with open(path, "wb") as fh:
+            fh.write(header + ints.tobytes())
 
 
 def _sinc_resample(x: np.ndarray, in_rate: float, out_rate: float) -> np.ndarray:

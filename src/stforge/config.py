@@ -89,9 +89,13 @@ def _table(value, name: str) -> dict:
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be a finite number, got an integer too large for a float") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _integer(value, name: str) -> int:

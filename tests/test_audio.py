@@ -1,5 +1,11 @@
 """Audio container, WAV round-trips, resampling, normalization, cutting."""
 
+import io
+import os
+import re
+import struct
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,23 +52,81 @@ class TestAudioClip:
         assert len(AudioClip(np.zeros(123), 16000)) == 123
 
 
+def riff(*chunks):
+    """A RIFF/WAVE file from (id, payload) chunks, each padded to even length."""
+    body = b"WAVE" + b"".join(
+        struct.pack("<4sI", cid, len(payload)) + payload + b"\0" * (len(payload) % 2) for cid, payload in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt(tag=1, channels=1, rate=16000, bits=16, extra=b""):
+    align = channels * bits // 8
+    return b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits) + extra
+
+
+# WAVE_FORMAT_EXTENSIBLE tail: cbSize, valid bits, channel mask, then the KSDATAFORMAT_SUBTYPE_PCM GUID
+EXTENSIBLE_PCM16 = struct.pack("<HHI", 22, 16, 4) + bytes.fromhex("0100000000001000800000aa00389b71")
+PCM16 = struct.pack("<4h", 0, 16384, -32768, 32767)
+
+
 class TestWavIO:
-    def test_pcm16_roundtrip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        # quantize first so the round trip has no rounding left to do
-        quantized = np.round(rng.uniform(-1, 1, 4000) * 32768).clip(-32768, 32767) / 32768.0
-        path = tmp_path / "q.wav"
-        write_wav(path, AudioClip(quantized, 16000))
-        back = load_wav(path)
-        assert back.sample_rate == 16000
-        np.testing.assert_array_equal(back.samples, quantized)
+    @given(st.integers(0, 5000), st.sampled_from([8000, 16000, 22050, 44100, 48000]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_pcm16_roundtrip_bit_exact(self, n, rate, seed):
+        # int16-quantized samples, extremes included: the round trip has no rounding left to do
+        ints = np.random.default_rng(seed).integers(-32768, 32768, n)
+        ints[:2] = [-32768, 32767][:n]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "q.wav")
+            write_wav(path, AudioClip(ints / 32768.0, rate))
+            back = load_wav(path)
+        assert back.sample_rate == rate
+        np.testing.assert_array_equal(back.samples * 32768.0, ints)
+
+    def test_writer_bytes_are_pinned(self):
+        buf = io.BytesIO()
+        write_wav(buf, AudioClip(np.array([0.5, -1.5, 1.0]), 16000))
+        assert buf.getvalue() == (
+            b"RIFF*\x00\x00\x00WAVEfmt \x10\x00\x00\x00\x01\x00\x01\x00\x80>\x00\x00\x00}\x00\x00"
+            b"\x02\x00\x10\x00data\x06\x00\x00\x00\x00@\x00\x80\xff\x7f"
+        )
 
     def test_float32_roundtrip(self, tmp_path):
         clip = sine(seconds=0.25)
+        payload = clip.samples.astype("<f4").tobytes()
         path = tmp_path / "f.wav"
-        write_wav(path, clip, encoding="float32")
+        # float fmt carries a cbSize field; fact and an odd-sized LIST chunk come before data
+        path.write_bytes(
+            riff(fmt(tag=3, bits=32, extra=b"\0\0"), (b"fact", struct.pack("<I", len(clip))),
+                 (b"LIST", b"INFOISFT\x03\0\0\0ab\0"), (b"data", payload))
+        )
         back = load_wav(path)
-        np.testing.assert_allclose(back.samples, clip.samples, atol=1e-7)
+        assert back.sample_rate == 16000
+        np.testing.assert_array_equal(back.samples, clip.samples.astype(np.float32))
+
+    def test_extensible_pcm16(self, tmp_path):
+        path = tmp_path / "ext.wav"
+        path.write_bytes(riff(fmt(tag=0xFFFE, extra=EXTENSIBLE_PCM16), (b"data", PCM16)))
+        np.testing.assert_array_equal(load_wav(path).samples, [0.0, 0.5, -1.0, 32767 / 32768])
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (riff(fmt(channels=2), (b"data", PCM16)), "non-mono \\(2 channels\\)"),
+            (riff(fmt(bits=24), (b"data", PCM16[:6])), "unsupported encoding .* \\(need int16 or float32\\)"),
+            (riff(fmt(), (b"data", PCM16))[:-3], "'data' chunk runs past the end of the file"),
+            (riff(fmt(rate=0), (b"data", PCM16)), "sample rate 0"),
+            (riff(fmt(), (b"LIST", b"INFO")), "no 'data' chunk"),
+            (riff((b"data", PCM16)), "no 'fmt ' chunk"),
+        ],
+        ids=["stereo", "24-bit", "truncated-data", "rate-0", "no-data", "no-fmt"],
+    )
+    def test_malformed_file_names_path(self, tmp_path, body, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(body)
+        with pytest.raises(AudioError, match=re.escape(str(path)) + ": " + message):
+            load_wav(path)
 
     def test_write_accepts_file_object(self, tmp_path):
         clip = sine(seconds=0.1)
@@ -80,10 +144,6 @@ class TestWavIO:
         path.write_bytes(b"not a wav at all")
         with pytest.raises(AudioError):
             load_wav(path)
-
-    def test_unknown_encoding_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="encoding"):
-            write_wav(tmp_path / "x.wav", sine(seconds=0.1), encoding="pcm24")
 
 
 class TestResample:

@@ -295,6 +295,13 @@ class TestWrongValueTypes:
         with pytest.raises(ConfigError, match="augment.tempo must be a finite number, got -inf"):
             _from_file(tmp_path, "[augment]\ntempo = [-inf, 1.3]\n")
 
+    def test_integer_too_large_for_a_float(self):
+        message = "must be a finite number, got an integer too large for a float"
+        with pytest.raises(ConfigError, match=f"filter.wer_threshold {message}"):
+            load_config(None, {"STFORGE_FILTER_WER_THRESHOLD": "1" + "0" * 400})
+        with pytest.raises(ConfigError, match=f"segmenter.max_seg_len {message}"):
+            load_config(None, None, {"segmenter.max_seg_len": 10**400})
+
     def test_output_dir_is_gone(self):
         with pytest.raises(ConfigError, match="unknown config keys: paths.output_dir"):
             config_from_dict({"paths": {"output_dir": "out"}})

@@ -24,3 +24,10 @@ def test_python_m_stforge_cli_runs_the_cli():
     proc = _run("-m", "stforge.cli", "params-report")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "total parameters: 791,888,384" in proc.stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    # every command pays the CLI's import time, and none of them needs scipy
+    proc = _run("-c", "import stforge.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[]"
