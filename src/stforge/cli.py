@@ -11,6 +11,7 @@ success, 1 processing error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import logging
@@ -33,7 +34,7 @@ from .segmenter import (
     sweep_max_seg_len,
     write_segments_yaml,
 )
-from .textfilter import TranscriptPair, clean_target, filter_pair, normalize_for_asr
+from .textfilter import TranscriptPair, clean_target, filter_pairs, normalize_for_asr
 
 logger = logging.getLogger("stforge.cli")
 
@@ -98,24 +99,31 @@ def _read_hyps_tsv(path) -> dict:
 def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
     entries = read_manifest(_read_text(args.manifest))
     hyps = _read_hyps_tsv(args.asr_hyps)
+    pending = collections.deque()  # cleaned entries whose decision is not out yet
+
+    def cleaned_pairs():
+        for entry in entries:
+            if entry.id not in hyps:
+                raise ValueError(f"{entry.id}: no ASR hypothesis in {args.asr_hyps}")
+            # text filters run first, then the length and WER gates judge
+            # the filtered pair; thousands separators are a EuroparlST quirk
+            fix_thousands = entry.split.startswith("EuroparlST")
+            cleaned = dataclasses.replace(
+                entry,
+                src_text=clean_target(entry.src_text, cfg.filter.event_lexicon, fix_thousands),
+                tgt_text=clean_target(entry.tgt_text, cfg.filter.event_lexicon, fix_thousands),
+            )
+            pending.append(cleaned)
+            pair = TranscriptPair(cleaned.id, cleaned.n_samples, cleaned.src_text, cleaned.tgt_text)
+            yield pair, normalize_for_asr(hyps[entry.id])
+
     kept, dropped = [], []
-    for entry in entries:
-        if entry.id not in hyps:
-            raise ValueError(f"{entry.id}: no ASR hypothesis in {args.asr_hyps}")
-        # text filters run first, then the length and WER gates judge
-        # the filtered pair; thousands separators are a EuroparlST quirk
-        fix_thousands = entry.split.startswith("EuroparlST")
-        cleaned = dataclasses.replace(
-            entry,
-            src_text=clean_target(entry.src_text, cfg.filter.event_lexicon, fix_thousands),
-            tgt_text=clean_target(entry.tgt_text, cfg.filter.event_lexicon, fix_thousands),
-        )
-        pair = TranscriptPair(cleaned.id, cleaned.n_samples, cleaned.src_text, cleaned.tgt_text)
-        decision = filter_pair(pair, normalize_for_asr(hyps[entry.id]), cfg.filter)
+    for decision in filter_pairs(cleaned_pairs(), cfg.filter):
+        cleaned = pending.popleft()
         if decision.keep:
             kept.append(cleaned)
         else:
-            dropped.append((entry.id, decision.reason))
+            dropped.append((cleaned.id, decision.reason))
     with atomic_write(args.out) as fh:
         write_manifest(kept, fh)
     with atomic_write(args.report) as fh:

@@ -6,9 +6,12 @@ computes corpus BLEU-4 with exponential smoothing. Together these score
 a candidate audio segmentation against sentence-level references.
 
 All edit distances, textfilter's WER included, come from one numpy
-kernel. Aligning H hypothesis words to S segments of R words in total
-costs O(H * R) cells, run as R numpy column steps over the hypothesis
-axis per pass, and holds an S x (H+1) int64 table of suffix costs.
+column step, ``_column_step``. Aligning H hypothesis words to S segments
+of R words in total costs O(H * R) cells, run as R column steps over the
+hypothesis axis per pass, and holds an S x (H+1) int64 table of suffix
+costs. ``word_edit_distances`` runs the same step over a block of up to
+512 independent pairs at once, as a 2-D array: one step per reference
+word of the block's longest reference, with memory bounded by the block.
 """
 
 from __future__ import annotations
@@ -78,22 +81,39 @@ def _word_ids(*sequences) -> list:
     return [np.array([vocab.setdefault(w, len(vocab)) for w in seq], dtype=np.int64) for seq in sequences]
 
 
+def _padded_ids(sequences: list, vocab: dict):
+    """(rows, lengths): word ids in a 2-D array, each row padded with -1."""
+    lens = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    rows = np.full((len(sequences), lens.max(initial=0)), -1, dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < lens[:, None]] = [vocab.setdefault(w, len(vocab)) for seq in sequences for w in seq]
+    return rows, lens
+
+
+def _column_step(c: np.ndarray, b: np.ndarray, match: np.ndarray) -> None:
+    """Advance c, a DP row kept as row - idx, by one reference word, in place.
+
+    Works on the last axis, so c may hold one row or a block of rows; b
+    is scratch of c's shape, and match flags the hypothesis words equal
+    to the reference word. A run of hypothesis-word insertions collapses
+    to one running minimum: row = idx + minimum.accumulate(b - idx).
+    """
+    # reference-word deletion from c[j], match or substitution from c[j-1]
+    np.add(c, 1, out=b)
+    np.minimum(b[..., 1:], c[..., :-1] - match, out=b[..., 1:])
+    np.minimum.accumulate(b, axis=-1, out=c)
+
+
 def _extend(d_prev: np.ndarray, hyp: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """out[j] = min over i <= j of d_prev[i] + dist(hyp[i:j], ref).
 
-    One numpy step over the hypothesis axis per reference word. The row
-    is kept as c = row - idx, so a run of hypothesis-word insertions
-    collapses to one running minimum: row = idx + minimum.accumulate(b - idx).
-    With d_prev = idx, out[j] is plain dist(hyp[:j], ref).
+    One column step over the hypothesis axis per reference word. With
+    d_prev = idx, out[j] is plain dist(hyp[:j], ref).
     """
     idx = np.arange(len(hyp) + 1)
     c = np.minimum.accumulate(d_prev - idx)
     b = np.empty_like(c)
     for match in ref[:, None] == hyp:
-        # reference-word deletion from c[j], match or substitution from c[j-1]
-        np.add(c, 1, out=b)
-        np.minimum(b[1:], c[:-1] - match, out=b[1:])
-        np.minimum.accumulate(b, out=c)
+        _column_step(c, b, match)
     return c + idx
 
 
@@ -116,10 +136,45 @@ def _align_ids(hyp_words: list, ref_segments: list) -> list:
     return _word_ids(*([_align_key(w) for w in seq] for seq in (hyp_words, *ref_segments)))
 
 
+BLOCK_PAIRS = 512
+
+
+def word_edit_distances(pairs) -> list[int]:
+    """Word-level Levenshtein distance of each (hyp, ref) pair, in input order.
+
+    Pairs run in blocks of up to BLOCK_PAIRS through _column_step, the
+    step _extend takes, as a 2-D array with one row per pair. A block
+    sorts its pairs by reference length, longest first, so the rows
+    still active at reference word k are a prefix and step k works on
+    c[:n].
+    Hypotheses are padded with an id no word has; the step at column j
+    reads only columns up to j, so each row's distance is read at its
+    own hypothesis length. Cost: one column step per reference word of
+    the block's longest reference, over (pairs x longest hypothesis)
+    cells, with memory bounded by the block.
+    """
+    pairs = list(pairs)
+    out = [0] * len(pairs)
+    for lo in range(0, len(pairs), BLOCK_PAIRS):
+        block = sorted(range(lo, min(lo + BLOCK_PAIRS, len(pairs))), key=lambda i: -len(pairs[i][1]))
+        vocab = {}
+        hyp, hyp_lens = _padded_ids([pairs[i][0] for i in block], vocab)
+        ref, ref_lens = _padded_ids([pairs[i][1] for i in block], vocab)
+        # active[k]: the rows whose reference is longer than k
+        active = np.searchsorted(-ref_lens, -np.arange(ref.shape[1]))
+        c = np.zeros((len(block), hyp.shape[1] + 1), dtype=np.int64)
+        b = np.empty_like(c)
+        for k, n in enumerate(active.tolist()):
+            _column_step(c[:n], b[:n], ref[:n, k, None] == hyp[:n])
+        dists = c[np.arange(len(block)), hyp_lens] + hyp_lens
+        for i, d in zip(block, dists.tolist()):
+            out[i] = d
+    return out
+
+
 def word_edit_distance(a: list, b: list) -> int:
     """Word-level Levenshtein distance between two token sequences."""
-    a_ids, b_ids = _word_ids(a, b)
-    return int(_extend(np.arange(len(a_ids) + 1), a_ids, b_ids)[-1])
+    return word_edit_distances([(a, b)])[0]
 
 
 def alignment_cost(hyp_words: list, ref_segments: list) -> int:

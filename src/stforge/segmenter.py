@@ -250,10 +250,14 @@ def write_segments_yaml(segments: list[Segment]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# libyaml's loader builds the same objects several times faster
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def parse_segments_yaml(text: str) -> list[Segment]:
     """Inverse of :func:`write_segments_yaml`; validates every entry."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ValueError(f"malformed segment YAML: {exc}") from exc
     if raw is None:

@@ -3,14 +3,18 @@
 Covers the three keep/drop rules for training pairs: source audio over the
 sample cap, target text empty once speaker prefixes and parenthesized
 events are removed, and ASR hypothesis WER above the threshold.
+``filter_pairs`` applies them to a stream of pairs, with the WER of each
+block of survivors computed by one batched edit-distance call;
+``filter_pair`` is its one-pair form.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .evalign import word_edit_distance
+from .evalign import BLOCK_PAIRS, word_edit_distance, word_edit_distances
 
 DEFAULT_EVENT_LEXICON = frozenset({"Gelächter", "Applaus", "Musik", "Video", "Beifall"})
 
@@ -25,6 +29,10 @@ _CAPWORD = r"(?:[A-ZÄÖÜ][a-zäöüß]+)+(?:-(?:[A-ZÄÖÜ][a-zäöüß]+)+)?"
 SPEAKER_PREFIX_RE = re.compile(rf"^(?:{_CAPWORD}(?: {_CAPWORD})*|[A-ZÄÖÜ]{{2,4}}): *")
 
 _INNER_GROUP_RE = re.compile(r"\(([^()]*)\)")
+_SPACE_RUN_RE = re.compile(r"\s+")
+_SPACE_BEFORE_PUNCT_RE = re.compile(r" ([.,!?;:])")
+_NON_ASR_CHAR_RE = re.compile(r"[^a-z0-9' ]")
+_DIGITS_RE = re.compile(r"\d+")
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,11 @@ def strip_speaker_prefix(sentence: str) -> str:
     return SPEAKER_PREFIX_RE.sub("", sentence, count=1)
 
 
+@functools.cache
+def _casefolded(lexicon: frozenset) -> frozenset:
+    return frozenset(w.casefold() for w in lexicon)
+
+
 def remove_events(sentence: str, lexicon: frozenset = DEFAULT_EVENT_LEXICON) -> str:
     """Delete parenthesized non-textual events; unwrap quoted speakers.
 
@@ -77,7 +90,7 @@ def remove_events(sentence: str, lexicon: frozenset = DEFAULT_EVENT_LEXICON) -> 
     a "Name:" marker (a secondary-speaker utterance), that marker is
     stripped as well.
     """
-    lex = {w.casefold() for w in lexicon}
+    lex = _casefolded(frozenset(lexicon))
     text = sentence
     deleted_at_start = False
     changed_any = False
@@ -108,8 +121,8 @@ def remove_events(sentence: str, lexicon: frozenset = DEFAULT_EVENT_LEXICON) -> 
         changed_any = True
     if not changed_any:
         return sentence
-    text = re.sub(r"\s+", " ", text).strip()
-    text = re.sub(r" ([.,!?;:])", r"\1", text)
+    text = _SPACE_RUN_RE.sub(" ", text).strip()
+    text = _SPACE_BEFORE_PUNCT_RE.sub(r"\1", text)
     if deleted_at_start:
         text = strip_speaker_prefix(text)
     return text
@@ -174,8 +187,8 @@ def normalize_for_asr(text: str) -> list[str]:
     words.
     """
     text = text.lower()
-    text = re.sub(r"[^a-z0-9' ]", " ", text)
-    text = re.sub(r"\d+", lambda m: " " + number_to_words(m.group()) + " ", text)
+    text = _NON_ASR_CHAR_RE.sub(" ", text)
+    text = _DIGITS_RE.sub(lambda m: " " + number_to_words(m.group()) + " ", text)
     return text.split()
 
 
@@ -203,13 +216,41 @@ def filter_pair(pair: TranscriptPair, asr_hyp: list[str], cfg: FilterConfig) -> 
     normalizes to no words cannot be verified against the hypothesis and
     is dropped under the WER reason.
     """
-    if pair.n_samples > cfg.max_samples:
-        return FilterDecision(False, DROP_TOO_LONG)
-    if not clean_target(pair.tgt_text, cfg.event_lexicon).strip():
-        return FilterDecision(False, DROP_EMPTY)
-    ref = normalize_for_asr(pair.src_text)
-    if not ref:
-        return FilterDecision(False, DROP_WER)
-    if word_error_rate(asr_hyp, ref) > cfg.wer_threshold:
-        return FilterDecision(False, DROP_WER)
-    return FilterDecision(True)
+    return next(filter_pairs([(pair, asr_hyp)], cfg))
+
+
+def filter_pairs(items, cfg: FilterConfig):
+    """Yield filter_pair's decision for each (pair, asr_hyp) item, in order.
+
+    Items are read lazily. Those that pass the duration and empty-target
+    gates wait for the WER gate, which runs once per block of up to
+    BLOCK_PAIRS of them as one word_edit_distances call, so memory is
+    bounded by the block rather than by the input.
+    """
+    window = []  # decisions since the last block; None until the WER gate runs
+    waiting = []  # (slot in window, hyp, ref)
+    for pair, asr_hyp in items:
+        reason = None
+        if pair.n_samples > cfg.max_samples:
+            reason = DROP_TOO_LONG
+        elif not clean_target(pair.tgt_text, cfg.event_lexicon).strip():
+            reason = DROP_EMPTY
+        else:
+            ref = normalize_for_asr(pair.src_text)
+            if not ref:
+                reason = DROP_WER
+            else:
+                waiting.append((len(window), asr_hyp, ref))
+        window.append(None if reason is None else FilterDecision(False, reason))
+        if len(waiting) == BLOCK_PAIRS:
+            yield from _wer_gate(window, waiting, cfg)
+            window, waiting = [], []
+    yield from _wer_gate(window, waiting, cfg)
+
+
+def _wer_gate(window: list, waiting: list, cfg: FilterConfig) -> list:
+    distances = word_edit_distances([(hyp, ref) for _, hyp, ref in waiting])
+    for (slot, _, ref), distance in zip(waiting, distances):
+        too_far = distance / len(ref) > cfg.wer_threshold
+        window[slot] = FilterDecision(False, DROP_WER) if too_far else FilterDecision(True)
+    return window

@@ -2,15 +2,19 @@
 
 import argparse
 import json
+import random
 
 import numpy as np
 import pytest
 
+from stforge import textfilter
 from stforge.audio import AudioClip, load_wav, write_wav
 from stforge.cli import EPOCH_SEED_STRIDE, build_parser, main
 from stforge.config import config_from_dict
+from stforge.evalign import word_edit_distances
 from stforge.sampler import ManifestEntry, SamplingSpec, epoch_sample, read_manifest, write_manifest
 from stforge.segmenter import Segment, parse_segments_yaml, write_segments_yaml
+from stforge.textfilter import FilterConfig, TranscriptPair, clean_target, filter_pair, normalize_for_asr
 
 
 def jsonl_line(audio, tokens, frame_ms=100):
@@ -222,6 +226,92 @@ class TestFilter:
         assert rc == 1
         assert not out.exists()
         assert f"{hyps} line 5: duplicate id 'm1'" in caplog.text
+
+
+def reference_filter(entries, hyps, cfg):
+    """The filter stage as one clean_target + filter_pair call per entry."""
+    kept, dropped = [], []
+    for e in entries:
+        fix = e.split.startswith("EuroparlST")
+        src = clean_target(e.src_text, cfg.event_lexicon, fix)
+        tgt = clean_target(e.tgt_text, cfg.event_lexicon, fix)
+        decision = filter_pair(TranscriptPair(e.id, e.n_samples, src, tgt), normalize_for_asr(hyps[e.id]), cfg)
+        if decision.keep:
+            kept.append(ManifestEntry(e.id, e.audio, e.n_samples, e.n_tgt_tokens, e.split, src, tgt))
+        else:
+            dropped.append(f"{e.id}\t{decision.reason}\n")
+    return manifest_text(kept), "".join(dropped)
+
+
+class TestFilterAtScale:
+    """More rows than one WER block, checked against the per-pair loop."""
+
+    WORDS = "wir haben das ist ein test guten morgen zehn stimmen".split()
+    SRC_EXTRAS = ["", " 10 000", " (Applaus)", " 25"]
+    # three of every ten targets are empty after cleaning; "Anna: Bob:" only after the second pass
+    TARGETS = ["We got 10 000 votes"] * 4 + ["DG: (Musik) yes", "Fine (Gelächter) thanks", "Hello",
+                                            "Anna: Bob:", "(Applaus)", "(Musik)"]
+
+    @pytest.fixture
+    def big(self, tmp_path):
+        rng = random.Random(11)
+        entries, hyp_lines = [], []
+        for i in range(2000):
+            src = " ".join(rng.choice(self.WORDS) for _ in range(rng.randint(0, 25))) + rng.choice(self.SRC_EXTRAS)
+            if i % 50 == 7:
+                src = "... !!"  # normalizes to no words
+            split = rng.choice(["MuST-C-train", "EuroparlST-train", "CoVoST-train"])
+            entries.append(ManifestEntry(f"u{i:04d}", f"u{i}.wav", rng.randint(1000, 24000), 3, split,
+                                         src, rng.choice(self.TARGETS)))
+            hyp = normalize_for_asr(src)
+            for _ in range(rng.randint(0, 6)):  # substitutions and deletions
+                if hyp:
+                    hyp[rng.randrange(len(hyp))] = rng.choice(["zeug", ""])
+            hyp_lines.append(f"u{i:04d}\t{' '.join(w for w in hyp if w)}\n")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(manifest_text(entries), encoding="utf-8")
+        hyps = tmp_path / "hyps.tsv"
+        hyps.write_text("".join(hyp_lines), encoding="utf-8")
+        return entries, manifest, hyps
+
+    def test_matches_per_pair_loop(self, big, tmp_path, monkeypatch):
+        entries, manifest, hyps = big
+        blocks = []
+
+        def spy(pairs):
+            blocks.append(len(pairs))
+            return word_edit_distances(pairs)
+
+        monkeypatch.setattr(textfilter, "word_edit_distances", spy)
+        out, report = tmp_path / "kept.tsv", tmp_path / "report.tsv"
+        rc = main([
+            "filter", "--manifest", str(manifest), "--asr-hyps", str(hyps),
+            "--max-samples", "20000", "--out", str(out), "--report", str(report),
+        ])
+        assert rc == 0
+        assert blocks[:2] == [512, 512] and 0 < blocks[2] < 512 and len(blocks) == 3
+        hyp_text = dict(line.split("\t") for line in hyps.read_text(encoding="utf-8").splitlines())
+        want_kept, want_dropped = reference_filter(entries, hyp_text, FilterConfig(max_samples=20000))
+        assert out.read_text(encoding="utf-8") == want_kept
+        assert report.read_text(encoding="utf-8") == want_dropped
+        reasons = [line.split("\t")[1] for line in want_dropped.splitlines()]
+        assert {"too_long", "empty_after_filtering", "asr_wer"} == set(reasons)
+        assert "10,000" in want_kept
+        # cleaned once to "Bob:", then emptied by filter_pair's own cleaning
+        anna = [e.id for e in entries if e.tgt_text == "Anna: Bob:" and e.n_samples <= 20000]
+        assert anna and all(f"{ident}\tempty_after_filtering\n" in want_dropped for ident in anna)
+
+    def test_missing_hypothesis_late_in_manifest_writes_nothing(self, big, tmp_path):
+        _, manifest, hyps = big
+        lines = hyps.read_text(encoding="utf-8").splitlines(keepends=True)
+        hyps.write_text("".join(lines[:1200] + lines[1201:]), encoding="utf-8")
+        out, report = tmp_path / "kept.tsv", tmp_path / "report.tsv"
+        rc = main([
+            "filter", "--manifest", str(manifest), "--asr-hyps", str(hyps),
+            "--out", str(out), "--report", str(report),
+        ])
+        assert rc == 1
+        assert not out.exists() and not report.exists()
 
 
 class TestAugment:

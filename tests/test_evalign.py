@@ -15,6 +15,8 @@ from stforge.evalign import (
     resegment_mwer,
     score_segmentation,
     tokenize_13a,
+    word_edit_distance,
+    word_edit_distances,
 )
 from stforge.segmenter import Segment
 
@@ -135,6 +137,41 @@ class TestResegment:
         assert alignment_cost(hyp, refs) == want_cost
         assert list(itertools.accumulate(len(g) for g in groups)) == want_ends
         assert sum(edit_distance(g, r) for g, r in zip(groups, refs)) == want_cost
+
+
+class TestWordEditDistances:
+    """The block path of the shared column step against the full-matrix oracle."""
+
+    words = st.lists(st.sampled_from("abcde"), max_size=12)
+
+    @given(st.lists(st.tuples(words, words), max_size=40), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, pairs, data):
+        if pairs:  # repeat some pairs so duplicates share a block
+            pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=10))
+        got = word_edit_distances(pairs)
+        assert got == [edit_distance(*pair) for pair in pairs]
+
+    def test_empty_sides_and_no_pairs(self):
+        assert word_edit_distances([]) == []
+        pairs = [([], []), ([], ["a", "b"]), (["a"], []), ([], []), (["a", "b", "c"], ["b"])]
+        assert word_edit_distances(pairs) == [0, 2, 1, 0, 2]
+
+    def test_many_blocks_come_back_in_input_order(self):
+        # 1,300 pairs: two full blocks and a partial one, with lengths that
+        # do not follow input order, so every block sorts and pads unevenly
+        rng = random.Random(7)
+        vocab = ["w%d" % i for i in range(6)]
+        pairs = [
+            ([rng.choice(vocab) for _ in range(rng.randint(0, 30))],
+             [rng.choice(vocab) for _ in range((i * 37) % 23)])
+            for i in range(1300)
+        ]
+        assert word_edit_distances(pairs) == [edit_distance(*pair) for pair in pairs]
+
+    def test_one_pair_form(self):
+        assert word_edit_distance(["a", "x", "c"], ["a", "b", "c", "d"]) == 2
+        assert word_edit_distance([], []) == 0
 
 
 class TestCorpusBleu:

@@ -5,9 +5,11 @@ import math
 import random
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stforge import segmenter
 from stforge.segmenter import (
     FrameTranscript,
     Gap,
@@ -261,6 +263,27 @@ class TestInterchange:
             assert parsed.speaker_id == orig.speaker_id
             assert math.isclose(parsed.offset, orig.offset, abs_tol=1e-6)
             assert math.isclose(parsed.duration, orig.duration, abs_tol=1e-6)
+
+    def test_yaml_loader_matches_pure_python_safe_loader(self, monkeypatch):
+        # the libyaml loader, when present, must build the same segments
+        segs = [
+            Segment("ted_1096.wav", 0.0, 21.4, "ted_1096"),
+            Segment("weird name.wav", 1.5, 2.0, 'quote"d'),
+            Segment("a.wav", 3.0, 0.5, "back\\slash: ünï"),
+            Segment("b.wav", 4.25, 1.0, "1.50"),
+            Segment("b.wav", 5.0, 1.0, "yes"),
+        ]
+        text = write_segments_yaml(segs)
+        fast = parse_segments_yaml(text)
+        monkeypatch.setattr(segmenter, "_YAML_LOADER", yaml.SafeLoader)
+        assert fast == parse_segments_yaml(text)
+        assert [s.speaker_id for s in fast[:3]] == ["ted_1096", 'quote"d', "back\\slash: ünï"]
+
+    @pytest.mark.parametrize("loader", [yaml.SafeLoader, segmenter._YAML_LOADER])
+    def test_malformed_yaml_raises_value_error(self, monkeypatch, loader):
+        monkeypatch.setattr(segmenter, "_YAML_LOADER", loader)
+        with pytest.raises(ValueError, match="malformed segment YAML"):
+            parse_segments_yaml("- {duration: 1.0, offset: [0.0\n")
 
     def test_yaml_empty(self):
         assert write_segments_yaml([]) == ""

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stforge import textfilter
+from stforge.evalign import word_edit_distances
 from stforge.textfilter import (
     DEFAULT_EVENT_LEXICON,
     DROP_EMPTY,
@@ -15,6 +17,7 @@ from stforge.textfilter import (
     TranscriptPair,
     clean_target,
     filter_pair,
+    filter_pairs,
     normalize_for_asr,
     normalize_thousands,
     number_to_words,
@@ -86,6 +89,11 @@ class TestRemoveEvents:
         assert remove_events("Oh (Husten) je.", lex) == "Oh je."
         # multiword content not in the lexicon survives under a custom one too
         assert remove_events("Oh (zwei Worte) je.", lex) == "Oh (zwei Worte) je."
+
+    def test_lexicon_case_and_container_do_not_matter(self):
+        # the casefolded lexicon is cached per frozenset; a set or list works too
+        for lex in ({"HUSTEN"}, ["husten"], frozenset({"Husten"})):
+            assert remove_events("Oh (husten leise) je. (Husten)", lex) == "Oh (husten leise) je."
 
     def test_idempotent_on_mustc_like_lines(self):
         lines = [
@@ -248,6 +256,33 @@ class TestFilterPair:
         p = TranscriptPair("utt", 100, "25 cats!", "fünfundzwanzig Katzen")
         decision = filter_pair(p, ["twenty", "five", "cats"], self.CFG)
         assert decision.keep
+
+
+class TestFilterPairs:
+    def test_matches_filter_pair_in_order(self, monkeypatch):
+        blocks = []
+
+        def spy(pairs):
+            blocks.append(len(pairs))
+            return word_edit_distances(pairs)
+
+        monkeypatch.setattr(textfilter, "word_edit_distances", spy)
+        cfg = FilterConfig(wer_threshold=0.3)
+        rng = random.Random(3)
+        items = []
+        for i in range(2000):
+            src = " ".join(rng.choice("a b c d 7".split()) for _ in range(rng.randint(0, 8)))
+            tgt = rng.choice(["etwas"] * 5 + ["(Applaus)", "DG: (Musik)", "Anna: Bob:"])
+            hyp = [rng.choice("a b c seven".split()) for _ in range(rng.randint(0, 8))]
+            items.append((TranscriptPair(f"u{i}", rng.randint(0, 440_000), src, tgt), hyp))
+        want = [filter_pair(pair, hyp, cfg) for pair, hyp in items]
+        blocks.clear()
+        assert list(filter_pairs(iter(items), cfg)) == want
+        assert blocks[:2] == [512, 512] and 0 < blocks[2] < 512 and len(blocks) == 3
+        assert {d.reason for d in want} == {None, DROP_TOO_LONG, DROP_EMPTY, DROP_WER}
+
+    def test_empty_input(self):
+        assert list(filter_pairs([], FilterConfig())) == []
 
 
 class TestDefaults:
