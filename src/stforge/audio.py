@@ -1,9 +1,8 @@
 """Audio container, WAV file I/O, resampling, and per-clip normalization.
 
 All functions are pure: they take and return immutable :class:`AudioClip`
-values and never mutate their inputs, so callers may parallelize over files.
-Pipeline-internal audio is mono; integer WAV data is scaled to [-1, 1] on
-load by dividing by 32768.
+values and never mutate their inputs. Pipeline-internal audio is mono;
+integer WAV data is scaled to [-1, 1] on load by dividing by 32768.
 """
 
 from __future__ import annotations

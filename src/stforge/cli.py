@@ -18,7 +18,6 @@ import logging
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import config as config_mod
 from .audio import load_wav, write_wav
@@ -46,19 +45,9 @@ def _read_text(path) -> str:
         return fh.read()
 
 
-def _map_ordered(fn, items, jobs: int):
-    """Yield fn(item) for each item, in input order, as results arrive."""
-    if jobs <= 1 or len(items) <= 1:
-        yield from map(fn, items)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(fn, items)
-
-
 def cmd_segment(args, cfg: config_mod.PipelineConfig) -> int:
     transcripts = parse_frame_transcript(_read_text(args.transcripts))
-    per_file = _map_ordered(lambda t: split_recursive(t, cfg.segmentation), transcripts, args.jobs)
-    segments = [seg for segs in per_file for seg in segs]
+    segments = [seg for t in transcripts for seg in split_recursive(t, cfg.segmentation)]
     with atomic_write(args.out) as fh:
         fh.write(write_segments_yaml(segments))
     logger.info("segmented %d files into %d segments", len(transcripts), len(segments))
@@ -140,21 +129,20 @@ def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
     else:
         stem = os.path.splitext(os.path.basename(args.input))[0]
         items = [(stem, args.input)]
-    names = [name for name, _ in items]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate output names; ids must be unique")
+    # read_manifest rejects duplicate ids; an id must also name a file
+    # directly under --out
+    for name, _ in items:
+        if name in ("", ".", "..") or "/" in name or os.sep in name:
+            raise ValueError(f"{args.input}: id {name!r} is not a plain file name")
 
-    def worker(item):
-        name, path = item
+    # each clip is written as soon as it is made; only its parameters are kept
+    log = []
+    for name, path in items:
         clip = load_wav(path)
-        # per-file stream: stable under reordering and parallelism
+        # per-clip stream: a clip's draw does not depend on the others
         rng = random.Random(f"{cfg.seed}:{name}")
         params = sample_params(cfg.augment_policy, rng)
-        return name, params, apply_augmentation(clip, params)
-
-    # each clip is written as it arrives; only its parameters are kept
-    log = []
-    for name, params, clip in _map_ordered(worker, items, args.jobs):
+        clip = apply_augmentation(clip, params)
         with atomic_write(os.path.join(args.out, f"{name}.wav"), "wb") as fh:
             write_wav(fh, clip)
         log.append((name, params))
@@ -238,13 +226,18 @@ def _sweep_value(stem: str) -> float:
 
 def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
     refs = [tokenize_13a(line) for line in _read_text(args.ref).splitlines()]
-    rows = []
     names = sorted(n for n in os.listdir(args.segdir) if n.endswith((".yaml", ".yml")))
     if not names:
         raise ValueError(f"no segmentation YAML files in {args.segdir}")
+    by_value = {}
     for name in names:
+        value = _sweep_value(os.path.splitext(name)[0])
+        if value in by_value:
+            raise ValueError(f"{args.segdir}: {by_value[value]} and {name} both give max_seg_len {value:g}")
+        by_value[value] = name
+    rows = []
+    for value, name in sorted(by_value.items()):
         stem = os.path.splitext(name)[0]
-        value = _sweep_value(stem)
         segments = parse_segments_yaml(_read_text(os.path.join(args.segdir, name)))
         trans_path = os.path.join(args.trans, stem + ".txt")
         translations = _read_text(trans_path).splitlines()
@@ -254,7 +247,6 @@ def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
             )
         result = score_segmentation(segments, translations, refs)
         rows.append((value, result.score))
-    rows.sort()
     with atomic_write(args.out) as fh:
         for value, score in rows:
             fh.write(f"{value:g}\t{score:.4f}\n")
@@ -297,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="configuration file (TOML)")
     _config_flag(parser, "--seed", "seeds.seed", int, "N", "seed controlling all randomness")
-    parser.add_argument("--jobs", type=int, default=1, help="file-level worker count")
+    # every stage runs on one thread; the benchmark's argv still passes
+    # --jobs 1, and the flag goes once it stops
+    parser.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     parser.add_argument("-v", "--verbose", action="count", default=0, help="-v info, -vv debug")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 

@@ -8,10 +8,11 @@ a candidate audio segmentation against sentence-level references.
 All edit distances, textfilter's WER included, come from one numpy
 column step, ``_column_step``. Aligning H hypothesis words to S segments
 of R words in total costs O(H * R) cells, run as R column steps over the
-hypothesis axis per pass, and holds an S x (H+1) int64 table of suffix
-costs. ``word_edit_distances`` runs the same step over a block of up to
-512 independent pairs at once, as a 2-D array: one step per reference
-word of the block's longest reference, with memory bounded by the block.
+hypothesis axis per pass, and holds an (S+1) x (H+1) int32 table of
+suffix costs. ``word_edit_distances`` runs the same step over a block of
+up to 512 independent pairs at once, as a 2-D array: one step per
+reference word of the block's longest reference, with memory bounded by
+the block.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 NGRAM_ORDER = 4
-
-# list of tokens; invariant: no empty tokens
-TokenStream = list
 
 
 @dataclass(frozen=True)
@@ -120,9 +118,10 @@ def _extend(d_prev: np.ndarray, hyp: np.ndarray, ref: np.ndarray) -> np.ndarray:
 def _chain_costs(hyp: np.ndarray, ref_segments: list):
     """Rows D[0], ..., D[S]: D[s][j] is the min total edit distance of
     assigning the first j hypothesis words to the first s segments."""
-    # zero segments consume zero words; 1 << 40 marks the unreachable rest,
-    # far enough below the int64 limit that no word count overflows it
-    row = np.full(len(hyp) + 1, 1 << 40, dtype=np.int64)
+    # zero segments consume zero words; 1 << 30 marks the unreachable rest.
+    # Only this row holds it: every later row is at most H + R, so all rows
+    # fit in int32 while the arithmetic on them stays in int64
+    row = np.full(len(hyp) + 1, 1 << 30, dtype=np.int64)
     row[0] = 0
     yield row
     for ref in ref_segments:
@@ -195,15 +194,15 @@ def resegment_mwer(hyp_words: list, ref_segments: list) -> list:
     toward earlier boundaries.
 
     Cost: two passes of O(H * sum of reference lengths) cells, as one
-    numpy column step per reference word, and an S x (H+1) int64 table
-    of suffix costs.
+    numpy column step per reference word, and an (S+1) x (H+1) int32
+    table of suffix costs.
     """
     hyp, *refs = _align_ids(hyp_words, ref_segments)
     nhyp, nseg = len(hyp), len(refs)
 
     # suffix costs via the same DP on the reversed problem: rev[k][m] is
     # the min cost of assigning the last m words to the last k segments
-    rev = list(_chain_costs(hyp[::-1], [seg[::-1] for seg in refs[::-1]]))
+    rev = [row.astype(np.int32) for row in _chain_costs(hyp[::-1], [seg[::-1] for seg in refs[::-1]])]
     total = rev[nseg][nhyp]
     groups = []
     start = 0

@@ -85,8 +85,10 @@ def parse_frame_transcript(stream: str) -> list[FrameTranscript]:
     """Parse JSON-lines frame transcripts.
 
     One object per audio file: {"audio": str, "frame_ms": int, "tokens": [str...]}.
+    Audio ids must be unique.
     """
     out = []
+    first_line = {}
     for lineno, line in enumerate(stream.splitlines(), start=1):
         if not line.strip():
             continue
@@ -109,6 +111,9 @@ def parse_frame_transcript(stream: str) -> list[FrameTranscript]:
             )
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        seen = first_line.setdefault(out[-1].audio_id, lineno)
+        if seen != lineno:
+            raise ValueError(f"line {lineno}: duplicate audio {out[-1].audio_id!r} (first on line {seen})")
     return out
 
 

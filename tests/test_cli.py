@@ -85,6 +85,13 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_jobs_accepts_only_1(self):
+        assert main(["--jobs", "1", "params-report"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "2", "params-report"])
+        assert exc.value.code == 2
+        assert "--jobs" not in build_parser().format_help()
+
     def test_missing_required_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["segment", "--out", str(tmp_path / "x.yaml")])
@@ -367,6 +374,26 @@ class TestAugment:
         rc = main(["augment", "--in", str(tmp_path / "no.wav"), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("bad_id", ["../escaped", "sub/dir"])
+    def test_id_that_leaves_out_dir_exits_1(self, tmp_path, caplog, bad_id):
+        audio_dir = tmp_path / "audio"
+        audio_dir.mkdir()
+        tone_wav(audio_dir / "u0.wav")
+        entries = [
+            ManifestEntry("u0", "u0.wav", 8000, 2, "MuST-C-train", "a", "b"),
+            ManifestEntry(bad_id, "u0.wav", 8000, 2, "MuST-C-train", "c", "d"),
+        ]
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(manifest_text(entries), encoding="utf-8")
+        out = tmp_path / "trav" / "out" / "aug"
+        (out / "sub").mkdir(parents=True)
+        rc = main([
+            "augment", "--in", str(manifest), "--audio-root", str(audio_dir), "--out", str(out),
+        ])
+        assert rc == 1
+        assert f"{manifest}: id {bad_id!r}" in caplog.text
+        assert [p for p in (tmp_path / "trav").rglob("*") if p.is_file()] == []
+
 
 class TestSample:
     def entries(self):
@@ -527,6 +554,29 @@ class TestSweepScore:
             "--ref", str(ref), "--out", str(tmp_path / "o.tsv"),
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize("names", [
+        ("max_seg_len_5.yaml", "max_seg_len_5.0.yaml"),
+        ("x_5.yaml", "x_5.yml"),
+    ])
+    def test_two_files_for_one_value_exit_1(self, tmp_path, caplog, names):
+        segdir, transdir = tmp_path / "segs", tmp_path / "trans"
+        segdir.mkdir()
+        transdir.mkdir()
+        for name in names:
+            (segdir / name).write_text(
+                write_segments_yaml([Segment("a.wav", 0.0, 1.0, "s")]), encoding="utf-8"
+            )
+            (transdir / (name.rsplit(".", 1)[0] + ".txt")).write_text("x\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("x\n", encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        rc = main([
+            "sweep-score", "--segdir", str(segdir), "--trans", str(transdir),
+            "--ref", str(tmp_path / "ref.txt"), "--out", str(out),
+        ])
+        assert rc == 1
+        assert all(name in caplog.text for name in names)
+        assert not out.exists()
 
     def test_empty_segdir_exits_1(self, tmp_path):
         (tmp_path / "segs").mkdir()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,29 @@ class TestResegment:
                 pos += len(g)
                 got_ends.append(pos)
             assert got_ends == want_ends, f"trial {trial}: {hyp} vs {refs}"
+
+    def test_200_segments_match_the_oracle_with_an_int32_suffix_table(self):
+        rng = random.Random(5)
+        # boundaries: 200 segments of 0-1 words over 32 words, in mwer_dp's
+        # reach; most groups are empty, so the tie rule decides them
+        hyp = [rng.choice("abc") for _ in range(32)]
+        refs = [[rng.choice("abc") for _ in range(rng.randint(0, 1))] for _ in range(200)]
+        _, want_ends = mwer_dp(hyp, refs)
+        assert list(itertools.accumulate(len(g) for g in resegment_mwer(hyp, refs))) == want_ends
+        # memory: 200 segments over about 2k words, where the suffix table
+        # dominates; an int64 table alone is (S+1)(H+1)*8 bytes
+        vocab = [f"w{i}" for i in range(50)]
+        refs = [[rng.choice(vocab) for _ in range(rng.randint(0, 20))] for _ in range(200)]
+        hyp = [w for ref in refs for w in ref if rng.random() > 0.1]
+        tracemalloc.start()
+        try:
+            groups = resegment_mwer(hyp, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * (len(refs) + 1) * (len(hyp) + 1) * 8
+        assert [w for g in groups for w in g] == hyp
+        assert sum(edit_distance(g, r) for g, r in zip(groups, refs)) == alignment_cost(hyp, refs)
 
     def test_no_segments_rejected(self):
         with pytest.raises(ValueError):

@@ -249,6 +249,12 @@ class TestInterchange:
         with pytest.raises(ValueError, match="missing field"):
             parse_frame_transcript('{"audio": "a", "tokens": ["a"]}\n')
 
+    def test_jsonl_rejects_duplicate_audio(self):
+        line = json.dumps({"audio": "a.wav", "frame_ms": 20, "tokens": ["a"]})
+        other = json.dumps({"audio": "b.wav", "frame_ms": 20, "tokens": ["b"]})
+        with pytest.raises(ValueError, match=r"line 4: duplicate audio 'a.wav' \(first on line 1\)"):
+            parse_frame_transcript(f"{line}\n{other}\n\n{line}\n")
+
     def test_yaml_roundtrip(self, monkeypatch):
         segs = [
             Segment("ted_1096.wav", 0.0, 21.4, "ted_1096"),
