@@ -3,22 +3,26 @@
 Each training clip is augmented with probability p_aug; when it is, all
 three effects are applied with parameters drawn uniformly from the
 policy ranges. Tempo uses waveform-similarity overlap-add so pitch is
-preserved; pitch shifting resamples and then restores the duration with
-the same machinery; echo is a single normalized delay tap.
+preserved (normalized cross-correlation lag search, by FFT and a running
+energy sum); pitch shifting resamples and then restores the duration
+with the same machinery; echo is a single normalized delay tap.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioClip, _sinc_resample
 
 WINDOW_MS = 30.0
 SEARCH_MS = 10.0
+# Scores lie in +-||natural||; a tolerance on that scale, unlike one relative
+# to the best score, also ties lags whose correlation is exactly 0.
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -34,12 +38,18 @@ class AugmentPolicy:
     def __post_init__(self):
         if not 0.0 <= self.p_aug <= 1.0:
             raise ValueError(f"p_aug must be in [0, 1], got {self.p_aug}")
-        for name in ("tempo_range", "pitch_range_cents", "echo_delay_ms_range", "echo_decay_range"):
+        # uniform() can return either end, so both ends must suit the effect
+        for name, low, high, legal in (
+            ("tempo_range", 0.5, 2.0, "[0.5, 2]"),
+            ("pitch_range_cents", -1200.0, 1200.0, "[-1200, 1200]"),
+            ("echo_delay_ms_range", 0.0, math.inf, "[0, inf)"),
+            ("echo_decay_range", 0.0, math.nextafter(1.0, 0.0), "[0, 1)"),
+        ):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name}: min {lo} exceeds max {hi}")
-        if self.tempo_range[0] <= 0:
-            raise ValueError(f"tempo_range must be positive, got {self.tempo_range}")
+            if not low <= lo <= hi <= high:
+                raise ValueError(f"{name} must lie within {legal}, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -76,8 +86,13 @@ def _wsola(x: np.ndarray, rate: int, factor: float) -> np.ndarray:
 
     30 ms periodic-Hann windows at 50% synthesis overlap; each analysis
     window may slide within a +-10 ms tolerance to the lag that best
-    continues the previous output window (normalized cross-correlation,
-    earliest lag on ties).
+    continues the previous output window. The score is normalized
+    cross-correlation: an FFT correlation with the natural continuation
+    over the root of each window's energy, a difference of one cumsum of
+    x^2 over the search segment. A window without energy scores exactly
+    0, so FFT round-off next to silence cannot outrank a real lag. Lags
+    within TIE_RTOL * ||natural|| of the best score tie and the earliest
+    wins, so the choice does not hang on summation order.
     """
     w = _window_len(rate)
     hs = w // 2
@@ -86,6 +101,7 @@ def _wsola(x: np.ndarray, rate: int, factor: float) -> np.ndarray:
     if n <= w or ha <= 0:
         return x.copy()  # shorter than one window: within tolerance as-is
     tol = int(round(rate * SEARCH_MS / 1000.0))
+    nfft = 1 << (2 * tol + w - 1).bit_length()  # holds a whole segment: no wrap-around
     n_frames = (n - w) // ha + 1
     out_len = (n_frames - 1) * hs + w
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(w) / w)
@@ -98,10 +114,15 @@ def _wsola(x: np.ndarray, rate: int, factor: float) -> np.ndarray:
         if k > 0:
             natural = xp[src + hs : src + hs + w]
             lo = max(target - tol, 0)
-            cands = sliding_window_view(xp[lo : target + tol + w], w)
-            corr = cands @ natural
-            norms = np.sqrt(np.einsum("ij,ij->i", cands, cands)) + 1e-12
-            src = lo + int(np.argmax(corr / norms))
+            seg = xp[lo : target + tol + w]
+            m = len(seg) - w + 1
+            spec = np.fft.rfft(seg, nfft) * np.fft.rfft(natural, nfft).conj()
+            corr = np.fft.irfft(spec, nfft)[:m]
+            csum = np.concatenate(([0.0], np.cumsum(seg * seg)))
+            energy = np.maximum(csum[w:] - csum[:m], 0.0)
+            score = np.where(energy > 0, corr / (np.sqrt(energy) + 1e-12), 0.0)
+            tie = TIE_RTOL * np.sqrt(natural @ natural)
+            src = lo + int(np.argmax(score >= score.max() - tie))
         frame = xp[src : src + w]
         acc[k * hs : k * hs + w] += frame * win
         den[k * hs : k * hs + w] += win

@@ -11,6 +11,7 @@ import math
 import re
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def edit_distance_matrix(a, b):
@@ -155,6 +156,43 @@ def sinc_resample(x, in_rate, out_rate, taps=64):
     kernel /= kernel.sum(axis=1, keepdims=True)
     padded = np.concatenate([np.zeros(half), x, np.zeros(half + 1)])
     return np.einsum("ot,ot->o", kernel, padded[idx + half])
+
+
+def wsola_reference(x, rate, factor):
+    """WSOLA whose lag search scores a strided candidate matrix directly.
+
+    Correlation by one matrix-vector product and window norms by an
+    einsum over every candidate, against the FFT correlation and running
+    energy of augment._wsola; scores within 1e-9 * ||natural|| of the
+    best tie and the earliest lag wins, as there.
+    """
+    w = int(round(rate * 30 / 1000))
+    w = max(w + w % 2, 2)
+    hs = w // 2
+    ha = int(round(hs * factor))
+    n = len(x)
+    if n <= w or ha <= 0:
+        return x.copy()
+    tol = int(round(rate * 10 / 1000))
+    n_frames = (n - w) // ha + 1
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(w) / w)
+    acc = np.zeros((n_frames - 1) * hs + w)
+    den = np.zeros_like(acc)
+    xp = np.concatenate([x, np.zeros(w + hs + tol)])
+    src = 0
+    for k in range(n_frames):
+        if k > 0:
+            natural = xp[src + hs : src + hs + w]
+            lo = max(k * ha - tol, 0)
+            cands = sliding_window_view(xp[lo : k * ha + tol + w], w)
+            corr = cands @ natural
+            score = corr / (np.sqrt(np.einsum("ij,ij->i", cands, cands)) + 1e-12)
+            src = lo + int(np.argmax(score >= score.max() - 1e-9 * np.linalg.norm(natural)))
+        acc[k * hs : k * hs + w] += xp[src : src + w] * win
+        den[k * hs : k * hs + w] += win
+    safe = den > 1e-3
+    acc[safe] /= den[safe]
+    return acc
 
 
 def fft_peak_hz(samples, rate):

@@ -5,12 +5,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stforge.audio import AudioClip
 from stforge.augment import (
     WINDOW_MS,
     AugmentPolicy,
     EffectParams,
+    _wsola,
     apply_augmentation,
     echo,
     pitch,
@@ -18,7 +21,7 @@ from stforge.augment import (
     tempo,
 )
 
-from oracles import fft_peak_hz
+from oracles import fft_peak_hz, wsola_reference
 
 RATE = 16000
 WINDOW_S = WINDOW_MS / 1000.0
@@ -75,6 +78,39 @@ class TestTempo:
         a = tempo(clip, 1.17)
         b = tempo(clip, 1.17)
         np.testing.assert_array_equal(a.samples, b.samples)
+
+
+def wsola_input(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zeros":
+        return np.zeros(n)
+    if kind == "sine":  # 400 Hz: lags one 40-sample period apart tie exactly
+        return 0.5 * np.sin(2 * np.pi * np.arange(n) / 40)
+    x = 0.2 * rng.standard_normal(n)
+    if kind == "gaps":  # silent lead-in, tail and stretches inside
+        x[: rng.integers(0, 2000)] = 0.0
+        x[n - rng.integers(0, 2000) :] = 0.0
+        for start in rng.integers(0, n, size=3):
+            x[start : start + rng.integers(0, 3000)] = 0.0
+    return x
+
+
+class TestWsolaSearch:
+    @given(
+        st.sampled_from(["noise", "gaps", "zeros", "sine"]),
+        st.integers(1, 20000),
+        st.floats(0.5, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    # beside silence: frames whose correlations are all exactly 0, and all-zero windows
+    @example(kind="gaps", n=8000, factor=1.75, seed=4)
+    @example(kind="sine", n=16000, factor=1.3, seed=0)
+    @example(kind="zeros", n=4000, factor=0.5, seed=0)
+    @example(kind="noise", n=480, factor=2.0, seed=0)  # one window: passed through
+    @settings(max_examples=40, deadline=None)
+    def test_matches_candidate_matrix_reference(self, kind, n, factor, seed):
+        x = wsola_input(kind, n, seed)
+        assert np.array_equal(_wsola(x, RATE, factor), wsola_reference(x, RATE, factor))
 
 
 class TestPitch:
@@ -164,6 +200,33 @@ class TestPolicy:
             AugmentPolicy(tempo_range=(1.3, 0.85))
         with pytest.raises(ValueError):
             AugmentPolicy(tempo_range=(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("tempo_range", (1.0, 2.05)),
+            ("tempo_range", (0.45, 1.0)),
+            ("tempo_range", (2.1, 2.5)),
+            ("pitch_range_cents", (-1300.0, 0.0)),
+            ("pitch_range_cents", (0.0, 1200.5)),
+            ("echo_delay_ms_range", (-5.0, 20.0)),
+            ("echo_decay_range", (0.0, 1.02)),
+            ("echo_decay_range", (0.1, 1.0)),  # uniform() can return the high end
+            ("echo_decay_range", (-0.1, 0.2)),
+            ("tempo_range", (math.nan, 1.0)),
+        ],
+    )
+    def test_range_outside_effect_limits_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            AugmentPolicy(**{field: bad})
+
+    def test_ranges_at_effect_limits_accepted(self):
+        AugmentPolicy(
+            tempo_range=(0.5, 2.0),
+            pitch_range_cents=(-1200.0, 1200.0),
+            echo_delay_ms_range=(0.0, 1e6),
+            echo_decay_range=(0.0, 0.999),
+        )
 
     def test_sample_none_when_skipped(self):
         never = AugmentPolicy(p_aug=0.0)

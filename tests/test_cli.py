@@ -374,6 +374,25 @@ class TestAugment:
         rc = main(["augment", "--in", str(tmp_path / "no.wav"), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "flag, lo, hi, field",
+        [
+            ("--tempo", "1.0", "2.05", "tempo_range"),
+            ("--tempo", "2.1", "2.5", "tempo_range"),
+            ("--pitch", "-1300", "0", "pitch_range_cents"),
+            ("--echo-delay", "-5", "20", "echo_delay_ms_range"),
+            ("--echo-decay", "0.0", "1.02", "echo_decay_range"),
+        ],
+    )
+    def test_range_outside_effect_limits_exits_1_before_writing(self, tmp_path, caplog, flag, lo, hi, field):
+        wav = tmp_path / "clip.wav"
+        tone_wav(wav)
+        out = tmp_path / "out"
+        rc = main(["augment", "--in", str(wav), "--p-aug", "1.0", flag, lo, hi, "--out", str(out)])
+        assert rc == 1
+        assert field in caplog.text
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("bad_id", ["../escaped", "sub/dir"])
     def test_id_that_leaves_out_dir_exits_1(self, tmp_path, caplog, bad_id):
         audio_dir = tmp_path / "audio"
@@ -622,7 +641,8 @@ def test_every_dotted_flag_dest_is_a_config_key():
     assert len(dotted) == 12
     for action in dotted:
         section, key = action.dest.split(".", 1)
-        value = [0.1, 0.2] if action.nargs == 2 else _SAMPLE_VALUE[action.type]
+        # a pair inside every augment range's legal limits (tempo needs >= 0.5)
+        value = [0.6, 0.7] if action.nargs == 2 else _SAMPLE_VALUE[action.type]
         config_from_dict({section: {key: value}})
         assert action.metavar is not None, action.dest
 
