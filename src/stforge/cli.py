@@ -11,8 +11,6 @@ success, 1 processing error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import collections
-import dataclasses
 import json
 import logging
 import os
@@ -24,8 +22,8 @@ from .audio import load_wav, write_wav
 from .augment import apply_augmentation, sample_params
 from .coupling import build_reference_inventory, group_counts, lna_trainable_mask
 from .evalign import corpus_bleu, resegment_mwer, score_segmentation, tokenize_13a
-from .ioutil import atomic_write
-from .sampler import batch_stats, build_batches, epoch_sample, filter_lengths, read_manifest, write_manifest
+from .ioutil import atomic_write, is_plain_file_name, split_lines
+from .sampler import ManifestEntry, batch_stats, build_batches, epoch_sample, filter_lengths, read_manifest, write_manifest
 from .segmenter import (
     parse_frame_transcript,
     parse_segments_yaml,
@@ -33,7 +31,7 @@ from .segmenter import (
     sweep_max_seg_len,
     write_segments_yaml,
 )
-from .textfilter import TranscriptPair, clean_target, filter_pairs, normalize_for_asr
+from .textfilter import clean_target, filter_pairs, normalize_for_asr
 
 logger = logging.getLogger("stforge.cli")
 
@@ -73,7 +71,7 @@ def cmd_sweep(args, cfg: config_mod.PipelineConfig) -> int:
 
 def _read_hyps_tsv(path) -> dict:
     hyps = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(_read_text(path)), start=1):
         if not line:
             continue
         ident, sep, text = line.partition("\t")
@@ -88,31 +86,24 @@ def _read_hyps_tsv(path) -> dict:
 def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
     entries = read_manifest(_read_text(args.manifest))
     hyps = _read_hyps_tsv(args.asr_hyps)
-    pending = collections.deque()  # cleaned entries whose decision is not out yet
-
-    def cleaned_pairs():
-        for entry in entries:
-            if entry.id not in hyps:
-                raise ValueError(f"{entry.id}: no ASR hypothesis in {args.asr_hyps}")
-            # text filters run first, then the length and WER gates judge
-            # the filtered pair; thousands separators are a EuroparlST quirk
-            fix_thousands = entry.split.startswith("EuroparlST")
-            cleaned = dataclasses.replace(
-                entry,
-                src_text=clean_target(entry.src_text, cfg.filter.event_lexicon, fix_thousands),
-                tgt_text=clean_target(entry.tgt_text, cfg.filter.event_lexicon, fix_thousands),
-            )
-            pending.append(cleaned)
-            pair = TranscriptPair(cleaned.id, cleaned.n_samples, cleaned.src_text, cleaned.tgt_text)
-            yield pair, normalize_for_asr(hyps[entry.id])
+    lexicon = cfg.filter.event_lexicon
+    cleaned = []
+    for e in entries:
+        if e.id not in hyps:
+            raise ValueError(f"{e.id}: no ASR hypothesis in {args.asr_hyps}")
+        # text filters run first, then the length and WER gates judge the
+        # filtered pair; thousands separators are a EuroparlST quirk
+        fix = e.split.startswith("EuroparlST")
+        src, tgt = clean_target(e.src_text, lexicon, fix), clean_target(e.tgt_text, lexicon, fix)
+        cleaned.append(ManifestEntry(e.id, e.audio, e.n_samples, e.n_tgt_tokens, e.split, src, tgt))
 
     kept, dropped = [], []
-    for decision in filter_pairs(cleaned_pairs(), cfg.filter):
-        cleaned = pending.popleft()
+    items = ((e, normalize_for_asr(hyps[e.id])) for e in cleaned)
+    for entry, decision in zip(cleaned, filter_pairs(items, cfg.filter)):
         if decision.keep:
-            kept.append(cleaned)
+            kept.append(entry)
         else:
-            dropped.append((cleaned.id, decision.reason))
+            dropped.append((entry.id, decision.reason))
     with atomic_write(args.out) as fh:
         write_manifest(kept, fh)
     with atomic_write(args.report) as fh:
@@ -132,7 +123,7 @@ def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
     # read_manifest rejects duplicate ids; an id must also name a file
     # directly under --out
     for name, _ in items:
-        if name in ("", ".", "..") or "/" in name or os.sep in name:
+        if not is_plain_file_name(name):
             raise ValueError(f"{args.input}: id {name!r} is not a plain file name")
 
     # each clip is written as soon as it is made; only its parameters are kept
@@ -199,8 +190,8 @@ def _bleu_line(result) -> str:
 
 
 def cmd_score(args, cfg: config_mod.PipelineConfig) -> int:
-    hyp_lines = _read_text(args.hyp).splitlines()
-    ref_lines = _read_text(args.ref).splitlines()
+    hyp_lines = split_lines(_read_text(args.hyp))
+    ref_lines = split_lines(_read_text(args.ref))
     refs = [tokenize_13a(line) for line in ref_lines]
     if args.resegment:
         hyp_tokens = [tok for line in hyp_lines for tok in tokenize_13a(line)]
@@ -225,7 +216,7 @@ def _sweep_value(stem: str) -> float:
 
 
 def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
-    refs = [tokenize_13a(line) for line in _read_text(args.ref).splitlines()]
+    refs = [tokenize_13a(line) for line in split_lines(_read_text(args.ref))]
     names = sorted(n for n in os.listdir(args.segdir) if n.endswith((".yaml", ".yml")))
     if not names:
         raise ValueError(f"no segmentation YAML files in {args.segdir}")
@@ -238,9 +229,13 @@ def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
     rows = []
     for value, name in sorted(by_value.items()):
         stem = os.path.splitext(name)[0]
-        segments = parse_segments_yaml(_read_text(os.path.join(args.segdir, name)))
+        seg_path = os.path.join(args.segdir, name)
+        try:
+            segments = parse_segments_yaml(_read_text(seg_path))
+        except ValueError as exc:
+            raise ValueError(f"{seg_path}: {exc}") from None
         trans_path = os.path.join(args.trans, stem + ".txt")
-        translations = _read_text(trans_path).splitlines()
+        translations = split_lines(_read_text(trans_path))
         if len(translations) != len(segments):
             raise ValueError(
                 f"{trans_path}: {len(translations)} translations for {len(segments)} segments"

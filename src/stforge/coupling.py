@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write
+from .ioutil import atomic_write, is_plain_file_name
 
 logger = logging.getLogger(__name__)
 
@@ -449,9 +449,9 @@ def read_checkpoint(path) -> dict:
     """Load a checkpoint directory written by write_checkpoint.
 
     Each index entry is validated before its bytes are read: all keys
-    present, a non-negative integer offset and dims, and the tensor's
-    float32 bytes inside its blob. A bad entry raises ValueError naming
-    the tensor.
+    present, a non-negative integer offset and dims, a blob named by a
+    plain file name inside the directory, and the tensor's float32 bytes
+    inside that blob. A bad entry raises ValueError naming the tensor.
     """
     with open(os.path.join(path, "index.json"), encoding="utf-8") as fh:
         index = json.load(fh)
@@ -469,6 +469,8 @@ def read_checkpoint(path) -> dict:
         if not (isinstance(fname, str) and isinstance(shape, list)
                 and all(type(v) is int and v >= 0 for v in [offset, *shape])):
             raise ValueError(f"{name}: index entry needs a file name and non-negative integer offset and dims")
+        if not is_plain_file_name(fname):
+            raise ValueError(f"{name}: file {fname!r} is not a plain file name inside {path}")
         if fname not in blobs:
             with open(os.path.join(path, fname), "rb") as fh:
                 blobs[fname] = fh.read()

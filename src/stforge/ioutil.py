@@ -1,4 +1,4 @@
-"""Small filesystem helpers shared by the pipeline commands."""
+"""Small file and line helpers shared by the pipeline commands."""
 
 from __future__ import annotations
 
@@ -30,3 +30,21 @@ def atomic_write(path, mode: str = "w", encoding=None):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def split_lines(text: str) -> list[str]:
+    """Split text at line feeds only; as with str.splitlines, a final one adds no empty line.
+
+    str.splitlines also splits at U+0085, U+2028, form feeds and other
+    characters that a field may hold. Files are read in universal-newline
+    mode, so CRLF line ends are line feeds by then.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def is_plain_file_name(name: str) -> bool:
+    """True when name names an entry directly inside a directory: no separator, not "." or ".."."""
+    return name not in ("", ".", "..") and "/" not in name and os.sep not in name

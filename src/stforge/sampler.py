@@ -11,6 +11,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from .ioutil import split_lines
+
 TRAINING_SPLITS = (
     "MuST-C-train",
     "EuroparlST-train",
@@ -170,25 +172,23 @@ def batch_stats(batches: list, accumulation: int = 16, world_size: int = 4) -> d
     }
 
 
-def read_manifest(stream) -> list:
+def read_manifest(text: str) -> list:
     """Parse a tab-separated manifest with the standard header.
 
     Columns: id, audio, n_samples, n_tgt_tokens, split, src_text,
-    tgt_text. No quoting; fields must not contain tabs. Ids must be
-    unique.
+    tgt_text. No quoting; fields must not contain tabs or line breaks,
+    and a line ends at a line feed only. Ids must be unique.
     """
-    lines = iter(stream.splitlines() if isinstance(stream, str) else stream)
-    try:
-        header = next(lines).rstrip("\n")
-    except StopIteration:
-        raise ValueError("empty manifest: missing header") from None
+    lines = split_lines(text)
+    if not lines:
+        raise ValueError("empty manifest: missing header")
+    header = lines[0]
     cols = tuple(header.split("\t"))
     if cols != MANIFEST_COLUMNS:
         raise ValueError(f"bad manifest header: {header!r}")
     entries = []
     first_line = {}
-    for lineno, line in enumerate(lines, start=2):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split("\t")
@@ -220,6 +220,6 @@ def write_manifest(entries: list, stream) -> None:
     for e in entries:
         fields = (e.id, e.audio, str(e.n_samples), str(e.n_tgt_tokens), e.split, e.src_text, e.tgt_text)
         for f in fields:
-            if "\t" in f or "\n" in f:
-                raise ValueError(f"{e.id}: manifest fields must not contain tabs or newlines")
+            if "\t" in f or "\n" in f or "\r" in f:
+                raise ValueError(f"{e.id}: manifest fields must not contain tabs or line breaks")
         stream.write("\t".join(fields) + "\n")

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
+from .ioutil import split_lines
+
 LETTER_RE = re.compile(r"[A-Za-z]")
 
 
@@ -63,10 +65,10 @@ class Segment:
     speaker_id: str
 
     def __post_init__(self):
-        if self.offset < 0:
-            raise ValueError(f"negative offset {self.offset}")
-        if self.duration <= 0:
-            raise ValueError(f"non-positive duration {self.duration}")
+        if not 0 <= self.offset < math.inf:  # also rejects nan
+            raise ValueError(f"offset must be finite and non-negative, got {self.offset}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be finite and positive, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -84,31 +86,32 @@ class SegmentationConfig:
 def parse_frame_transcript(stream: str) -> list[FrameTranscript]:
     """Parse JSON-lines frame transcripts.
 
-    One object per audio file: {"audio": str, "frame_ms": int, "tokens": [str...]}.
-    Audio ids must be unique.
+    One object per audio file: {"audio": str, "frame_ms": int, "tokens": [str...]},
+    with exactly those JSON types. Audio ids must be unique.
     """
     out = []
     first_line = {}
-    for lineno, line in enumerate(stream.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(stream), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: malformed JSON ({exc})") from exc
+        if not isinstance(obj, dict):
+            raise ValueError(f"line {lineno}: expected a JSON object")
         for field in ("audio", "frame_ms", "tokens"):
             if field not in obj:
                 raise ValueError(f"line {lineno}: missing field {field!r}")
-        if not isinstance(obj["tokens"], list):
-            raise ValueError(f"line {lineno}: tokens must be a list")
+        audio, frame_ms, tokens = obj["audio"], obj["frame_ms"], obj["tokens"]
+        if not isinstance(audio, str):
+            raise ValueError(f"line {lineno}: audio must be a string, got {audio!r}")
+        if type(frame_ms) is not int:  # bool is an int subclass; 20.9 is not truncated
+            raise ValueError(f"line {lineno}: frame_ms must be an integer, got {frame_ms!r}")
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise ValueError(f"line {lineno}: tokens must be a list of strings")
         try:
-            out.append(
-                FrameTranscript(
-                    audio_id=str(obj["audio"]),
-                    frame_ms=int(obj["frame_ms"]),
-                    tokens=tuple(str(t) for t in obj["tokens"]),
-                )
-            )
+            out.append(FrameTranscript(audio_id=audio, frame_ms=frame_ms, tokens=tokens))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
         seen = first_line.setdefault(out[-1].audio_id, lineno)
@@ -279,12 +282,15 @@ def parse_segments_yaml(text: str) -> list[Segment]:
         missing = {"duration", "offset", "speaker_id", "wav"} - entry.keys()
         if missing:
             raise ValueError(f"entry {i}: missing keys {sorted(missing)}")
-        segments.append(
-            Segment(
-                wav=str(entry["wav"]),
-                offset=float(entry["offset"]),
-                duration=float(entry["duration"]),
-                speaker_id=str(entry["speaker_id"]),
+        try:
+            segments.append(
+                Segment(
+                    wav=str(entry["wav"]),
+                    offset=float(entry["offset"]),
+                    duration=float(entry["duration"]),
+                    speaker_id=str(entry["speaker_id"]),
+                )
             )
-        )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"entry {i}: {exc}") from None
     return segments

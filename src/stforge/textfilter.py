@@ -91,35 +91,29 @@ def remove_events(sentence: str, lexicon: frozenset = DEFAULT_EVENT_LEXICON) -> 
     stripped as well.
     """
     lex = _casefolded(frozenset(lexicon))
-    text = sentence
     deleted_at_start = False
-    changed_any = False
-    while True:
-        changed = False
-        pieces = []
-        last = 0
-        for m in _INNER_GROUP_RE.finditer(text):
-            inner = m.group(1).strip()
-            if inner.casefold() in lex or inner == "":
-                replacement = ""
-            elif SPEAKER_PREFIX_RE.match(inner):
-                replacement = strip_speaker_prefix(inner)
-            elif " " not in inner:
-                replacement = ""
-            else:
-                continue
-            if replacement == "" and not text[: m.start()].strip():
-                deleted_at_start = True
-            pieces.append(text[last : m.start()])
-            pieces.append(replacement)
-            last = m.end()
-            changed = True
-        if not changed:
-            break
-        pieces.append(text[last:])
-        text = "".join(pieces)
-        changed_any = True
-    if not changed_any:
+
+    def replace(m):
+        nonlocal deleted_at_start
+        inner = m.group(1).strip()
+        if inner.casefold() in lex or inner == "":
+            replacement = ""
+        elif SPEAKER_PREFIX_RE.match(inner):
+            replacement = strip_speaker_prefix(inner)
+        elif " " not in inner:
+            replacement = ""
+        else:
+            return m.group(0)
+        if replacement == "" and not m.string[: m.start()].strip():
+            deleted_at_start = True
+        return replacement
+
+    # every replacement is shorter than its group, so a pass that changes
+    # nothing is the fixed point, and text is sentence if none ever did
+    text = sentence
+    while (cleaned := _INNER_GROUP_RE.sub(replace, text)) != text:
+        text = cleaned
+    if text is sentence:
         return sentence
     text = _SPACE_RUN_RE.sub(" ", text).strip()
     text = _SPACE_BEFORE_PUNCT_RE.sub(r"\1", text)
@@ -222,10 +216,12 @@ def filter_pair(pair: TranscriptPair, asr_hyp: list[str], cfg: FilterConfig) -> 
 def filter_pairs(items, cfg: FilterConfig):
     """Yield filter_pair's decision for each (pair, asr_hyp) item, in order.
 
-    Items are read lazily. Those that pass the duration and empty-target
-    gates wait for the WER gate, which runs once per block of up to
-    BLOCK_PAIRS of them as one word_edit_distances call, so memory is
-    bounded by the block rather than by the input.
+    A pair is any object with n_samples, src_text and tgt_text, such as a
+    TranscriptPair or a manifest entry. Items are read lazily. Those that
+    pass the duration and empty-target gates wait for the WER gate, which
+    runs once per block of up to BLOCK_PAIRS of them as one
+    word_edit_distances call, so memory is bounded by the block rather
+    than by the input.
     """
     window = []  # decisions since the last block; None until the WER gate runs
     waiting = []  # (slot in window, hyp, ref)

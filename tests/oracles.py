@@ -251,3 +251,51 @@ def bleu_recount(hyp_segments, ref_segments):
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     score = 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / 4.0)
     return tuple(precisions), bp, score
+
+
+def remove_events(sentence, lexicon, speaker_prefix):
+    """Event removal by one left-to-right scan with a stack of open groups.
+
+    Each ")" closes the nearest open "(" as in ordinary bracket matching,
+    and a group is judged once its inner groups are resolved; one that
+    still holds a parenthesis stays as it is. The package instead rewrites
+    innermost groups pass by pass. speaker_prefix is the compiled
+    "Name: " pattern, which has tests of its own.
+    """
+    lex = {w.casefold() for w in lexicon}
+    stack = [""]  # stack[0]: top-level text so far; stack[k]: text of the k-th open group
+    changed = deleted_at_start = False
+    for ch in sentence:
+        if ch == "(":
+            stack.append("")
+            continue
+        if ch != ")" or len(stack) == 1:
+            stack[-1] += ch
+            continue
+        inner = stack.pop()
+        word = inner.strip()
+        if "(" in inner or ")" in inner:
+            out = None
+        elif word == "" or word.casefold() in lex:
+            out = ""
+        elif speaker_prefix.match(word):
+            out = speaker_prefix.sub("", word, count=1)
+        elif " " not in word:
+            out = ""
+        else:
+            out = None
+        if out is None:
+            stack[-1] += "(" + inner + ")"
+            continue
+        changed = True
+        if out == "" and len(stack) == 1 and not stack[0].strip():
+            deleted_at_start = True
+        stack[-1] += out
+    if not changed:
+        return sentence
+    text = " ".join("(".join(stack).split())
+    kept = [c for i, c in enumerate(text) if not (c == " " and i + 1 < len(text) and text[i + 1] in ".,!?;:")]
+    text = "".join(kept)
+    if deleted_at_start:
+        text = speaker_prefix.sub("", text, count=1)
+    return text

@@ -234,6 +234,36 @@ class TestFilter:
         assert not out.exists()
         assert f"{hyps} line 5: duplicate id 'm1'" in caplog.text
 
+    def test_crlf_inputs_read_like_lf(self, filter_fixture, tmp_path):
+        # inputs are read in universal-newline mode; only "\n" ends a line after that
+        manifest, hyps = filter_fixture
+        outs = []
+        for name in ("lf", "crlf"):
+            if name == "crlf":
+                for path in (manifest, hyps):
+                    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            out = tmp_path / f"{name}.tsv"
+            rc = main([
+                "filter", "--manifest", str(manifest), "--asr-hyps", str(hyps),
+                "--max-samples", "20000", "--out", str(out), "--report", str(tmp_path / f"{name}-r.tsv"),
+            ])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[1] == outs[0]
+        assert b"\r" not in outs[0]
+
+    def test_hypothesis_may_hold_a_unicode_line_separator(self, filter_fixture, tmp_path):
+        manifest, hyps = filter_fixture
+        text = hyps.read_text(encoding="utf-8").replace("guten morgen", "guten\u2028morgen")
+        hyps.write_text(text, encoding="utf-8")
+        out = tmp_path / "kept.tsv"
+        rc = main([
+            "filter", "--manifest", str(manifest), "--asr-hyps", str(hyps),
+            "--max-samples", "20000", "--out", str(out), "--report", str(tmp_path / "r.tsv"),
+        ])
+        assert rc == 0
+        assert [e.id for e in read_manifest(out.read_text(encoding="utf-8"))] == ["m0", "e0"]
+
 
 def reference_filter(entries, hyps, cfg):
     """The filter stage as one clean_target + filter_pair call per entry."""
@@ -519,6 +549,18 @@ class TestScore:
         assert rc == 0
         assert capsys.readouterr().out.rstrip("\n").endswith(" [empty hypothesis]")
 
+    @pytest.mark.parametrize("resegment", [[], ["--resegment"]])
+    def test_only_a_line_feed_ends_a_reference(self, tmp_path, capsys, resegment):
+        # U+0085 and U+2028 are whitespace inside a line, not line ends
+        (tmp_path / "hyp.txt").write_text("das ist gut wirklich schön\nnoch mehr davon\n", encoding="utf-8")
+        lines = []
+        for sep in (" ", "\x85 ", "\u2028"):
+            (tmp_path / "ref.txt").write_text(f"das ist gut{sep}wirklich schön\nnoch mehr davon\n", encoding="utf-8")
+            rc = main(["score", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt"), *resegment])
+            assert rc == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[1] == lines[2] == lines[0]
+
 
 class TestSweepScore:
     def seed_dir(self, tmp_path, translations_by_value):
@@ -596,6 +638,18 @@ class TestSweepScore:
         assert rc == 1
         assert all(name in caplog.text for name in names)
         assert not out.exists()
+
+    def test_non_finite_time_names_the_file_and_entry(self, tmp_path, caplog):
+        segdir, transdir = self.seed_dir(tmp_path, {8: ["a", "b"]})
+        path = segdir / "max_seg_len_8.yaml"
+        path.write_text(path.read_text(encoding="utf-8").replace("offset: 2.000000", "offset: .nan"), encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("a\nb\n", encoding="utf-8")
+        rc = main([
+            "sweep-score", "--segdir", str(segdir), "--trans", str(transdir),
+            "--ref", str(tmp_path / "ref.txt"), "--out", str(tmp_path / "o.tsv"),
+        ])
+        assert rc == 1
+        assert f"{path}: entry 1: offset must be finite" in caplog.text
 
     def test_empty_segdir_exits_1(self, tmp_path):
         (tmp_path / "segs").mkdir()

@@ -389,6 +389,18 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=rf"layer\.weight: .*{message}"):
             read_checkpoint(tmp_path / "c")
 
+    @pytest.mark.parametrize("fname", ["absolute", "../outside.bin", "sub/tensors.bin", "..", "."])
+    def test_index_file_must_stay_inside_the_checkpoint(self, tmp_path, fname):
+        write_checkpoint(tmp_path / "c", self.tensors(6))
+        outside = tmp_path / "outside.bin"
+        outside.write_bytes((tmp_path / "c" / "tensors.bin").read_bytes())
+        index_path = tmp_path / "c" / "index.json"
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+        index["layer.weight"]["file"] = str(outside) if fname == "absolute" else fname
+        index_path.write_text(json.dumps(index), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"layer\.weight: file .* is not a plain file name"):
+            read_checkpoint(tmp_path / "c")
+
     def test_average_survives_interchange(self, tmp_path):
         ckpts = [self.tensors(s) for s in (2, 3)]
         for i, c in enumerate(ckpts):

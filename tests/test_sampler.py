@@ -239,6 +239,21 @@ class TestManifestIO:
         with pytest.raises(ValueError, match="tabs"):
             write_manifest([bad], io.StringIO())
 
+    def test_carriage_return_in_field_rejected_on_write(self):
+        # a file read in universal-newline mode would end the line there
+        bad = ManifestEntry("u1", "a.wav", 1, 1, "MuST-C-train", "x", "has\rreturn")
+        with pytest.raises(ValueError, match="line breaks"):
+            write_manifest([bad], io.StringIO())
+
+    def test_only_a_line_feed_ends_a_row(self):
+        entries = [
+            ManifestEntry("u1", "a.wav", 16000, 7, "MuST-C-train", "eins\u2028zwei", "one\x85two\x0cthree\x1c"),
+            entry("u2"),
+        ]
+        buf = io.StringIO()
+        write_manifest(entries, buf)
+        assert read_manifest(buf.getvalue()) == entries
+
     def test_blank_lines_skipped(self):
         entries = [entry("u1")]
         buf = io.StringIO()

@@ -249,6 +249,30 @@ class TestInterchange:
         with pytest.raises(ValueError, match="missing field"):
             parse_frame_transcript('{"audio": "a", "tokens": ["a"]}\n')
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"frame_ms": 20.9}, "frame_ms must be an integer"),
+        ({"frame_ms": True}, "frame_ms must be an integer"),
+        ({"frame_ms": "20"}, "frame_ms must be an integer"),
+        ({"audio": None}, "audio must be a string"),
+        ({"audio": 7}, "audio must be a string"),
+        ({"tokens": ["b", None]}, "tokens must be a list of strings"),
+        ({"tokens": "b"}, "tokens must be a list of strings"),
+    ])
+    def test_jsonl_fields_keep_their_types(self, fields, message):
+        good = json.dumps({"audio": "a.wav", "frame_ms": 20, "tokens": ["a"]})
+        bad = json.dumps({"audio": "b.wav", "frame_ms": 20, "tokens": ["b"], **fields})
+        with pytest.raises(ValueError, match=f"line 2: {message}"):
+            parse_frame_transcript(f"{good}\n{bad}\n")
+
+    def test_jsonl_line_must_be_an_object(self):
+        with pytest.raises(ValueError, match="line 1: expected a JSON object"):
+            parse_frame_transcript("[1, 2]\n")
+
+    def test_jsonl_only_a_line_feed_ends_a_line(self):
+        line = json.dumps({"audio": "a\u2028b.wav", "frame_ms": 20, "tokens": ["a", "\x85"]}, ensure_ascii=False)
+        (t,) = parse_frame_transcript(line + "\n")
+        assert t.audio_id == "a\u2028b.wav" and t.tokens == ("a", "\x85")
+
     def test_jsonl_rejects_duplicate_audio(self):
         line = json.dumps({"audio": "a.wav", "frame_ms": 20, "tokens": ["a"]})
         other = json.dumps({"audio": "b.wav", "frame_ms": 20, "tokens": ["b"]})
@@ -308,6 +332,20 @@ class TestInterchange:
             parse_segments_yaml("- {offset: 0.0, duration: 1.0, wav: a.wav}")
         with pytest.raises(ValueError, match="list"):
             parse_segments_yaml("offset: 3")
+
+    @pytest.mark.parametrize("times, message", [
+        ("duration: 1.0, offset: .nan", "offset must be finite and non-negative, got nan"),
+        ("duration: 1.0, offset: -.inf", "offset must be finite"),
+        ("duration: 1.0, offset: -1.0", "offset must be finite and non-negative, got -1.0"),
+        ("duration: .inf, offset: 0.0", "duration must be finite and positive, got inf"),
+        ("duration: .nan, offset: 0.0", "duration must be finite"),
+        ("duration: 1.0, offset: abc", "could not convert"),
+        ("duration: null, offset: 0.0", "NoneType"),
+    ])
+    def test_yaml_errors_name_the_entry(self, times, message):
+        good = "- {duration: 1.0, offset: 0.0, speaker_id: s, wav: a.wav}\n"
+        with pytest.raises(ValueError, match=f"entry 1: .*{message}"):
+            parse_segments_yaml(f"{good}- {{{times}, speaker_id: s, wav: a.wav}}\n")
 
 
 class TestConfigValidation:

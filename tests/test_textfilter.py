@@ -26,6 +26,7 @@ from stforge.textfilter import (
     word_error_rate,
 )
 
+from oracles import remove_events as remove_events_oracle
 from oracles import wer as wer_oracle
 
 
@@ -105,6 +106,21 @@ class TestRemoveEvents:
         for line in lines:
             once = remove_events(line)
             assert remove_events(once) == once
+
+    # words, lexicon entries in two cases, speaker prefixes (one too long to
+    # count), and parentheses that nest, stay empty or go unbalanced
+    PIECES = ["Danke", "gut", "so", "Applaus", "applaus", "Musik", "Mann:", "DG:", "ABCDE:", "David Gallo:",
+              "Erzähler: ", "(", ")", "()", "( )", " ", "  ", "\t", ".", ",", "!", "x y"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pieces=st.lists(st.sampled_from(PIECES), max_size=24),
+        lexicon=st.sampled_from([DEFAULT_EVENT_LEXICON, frozenset({"gut", "Danke"})]),
+    )
+    def test_matches_stack_oracle(self, pieces, lexicon):
+        text = "".join(pieces)
+        expected = remove_events_oracle(text, lexicon, textfilter.SPEAKER_PREFIX_RE)
+        assert remove_events(text, lexicon) == expected
 
 
 class TestNumbers:
