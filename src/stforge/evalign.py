@@ -5,18 +5,21 @@ edit distance, tokenizes text the way the mteval-13a scorer does, and
 computes corpus BLEU-4 with exponential smoothing. Together these score
 a candidate audio segmentation against sentence-level references.
 
-All edit distances, textfilter's WER included, come from one numpy
-column step, ``_column_step``. Aligning H hypothesis words to S segments
-of R words in total costs O(H * R) cells, run as R column steps over the
-hypothesis axis per pass, and holds an (S+1) x (H+1) int32 table of
-suffix costs. ``word_edit_distances`` runs the same step over a block of
-up to 512 independent pairs at once, as a 2-D array: one step per
-reference word of the block's longest reference, with memory bounded by
-the block.
+All edit distances, textfilter's WER included, come from one
+bit-parallel step, ``_steps`` (Myers, JACM 1999, in Hyyrö's form): a DP
+column over one side's words is kept as two Python-int bit sets, and one
+step per word of the other side costs about 16 int operations. For S
+reference segments of R words in all against H hypothesis words, the
+mWER optimum is the edit distance between the hypothesis and the
+concatenated references, so aligning costs one run of R steps: O(R * H
+/ w) digit operations, with w = 30 bits per CPython int digit.
+Resegmentation keeps its suffix costs as one column per segment, 2 bits
+a cell.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -73,115 +76,107 @@ def _align_key(word: str) -> str:
     return stripped if stripped else word.casefold()
 
 
-def _word_ids(*sequences) -> list:
-    """Integer id arrays for word sequences that share one vocabulary."""
-    vocab = {}
-    return [np.array([vocab.setdefault(w, len(vocab)) for w in seq], dtype=np.int64) for seq in sequences]
+def _position_bits(words) -> dict:
+    """word -> bit set of the positions where it occurs in words."""
+    bits = {}
+    for i, w in enumerate(words):
+        bits[w] = bits.get(w, 0) | 1 << i
+    return bits
 
 
-def _padded_ids(sequences: list, vocab: dict):
-    """(rows, lengths): word ids in a 2-D array, each row padded with -1."""
-    lens = np.array([len(seq) for seq in sequences], dtype=np.int64)
-    rows = np.full((len(sequences), lens.max(initial=0)), -1, dtype=np.int64)
-    rows[np.arange(rows.shape[1]) < lens[:, None]] = [vocab.setdefault(w, len(vocab)) for seq in sequences for w in seq]
-    return rows, lens
+def _steps(eqs, mask: int, pv: int, mv: int) -> tuple[int, int]:
+    """Advance a DP column by one Myers/Hyyrö step per match set in eqs.
 
-
-def _column_step(c: np.ndarray, b: np.ndarray, match: np.ndarray) -> None:
-    """Advance c, a DP row kept as row - idx, by one reference word, in place.
-
-    Works on the last axis, so c may hold one row or a block of rows; b
-    is scratch of c's shape, and match flags the hypothesis words equal
-    to the reference word. A run of hypothesis-word insertions collapses
-    to one running minimum: row = idx + minimum.accumulate(b - idx).
+    The column runs over the bit side's positions: bit j of pv (mv)
+    marks a rise (fall) of one from row j to row j + 1, and bit j of an
+    eq marks the bit-side word j equal to the step's word. The top row
+    rises by one per step. ``^ mask`` stands in for ``~`` so the ints
+    stay non-negative; bits above the mask never reach lower bits, so
+    they are cleared once, on return.
     """
-    # reference-word deletion from c[j], match or substitution from c[j-1]
-    np.add(c, 1, out=b)
-    np.minimum(b[..., 1:], c[..., :-1] - match, out=b[..., 1:])
-    np.minimum.accumulate(b, axis=-1, out=c)
+    for eq in eqs:
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ((xh | pv) ^ mask)
+        mh = pv & xh
+        ph = ph << 1 | 1
+        pv = mh << 1 | ((xv | ph) ^ mask)
+        mv = ph & xv
+    return pv & mask, mv & mask
 
 
-def _extend(d_prev: np.ndarray, hyp: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """out[j] = min over i <= j of d_prev[i] + dist(hyp[i:j], ref).
-
-    One column step over the hypothesis axis per reference word. With
-    d_prev = idx, out[j] is plain dist(hyp[:j], ref).
-    """
-    idx = np.arange(len(hyp) + 1)
-    c = np.minimum.accumulate(d_prev - idx)
-    b = np.empty_like(c)
-    for match in ref[:, None] == hyp:
-        _column_step(c, b, match)
-    return c + idx
+def _bit_array(bits: int, lo: int, n: int) -> np.ndarray:
+    """Bits lo .. lo + n - 1 of bits as a 0/1 uint8 array."""
+    raw = ((bits >> lo) & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
 
 
-def _chain_costs(hyp: np.ndarray, ref_segments: list):
-    """Rows D[0], ..., D[S]: D[s][j] is the min total edit distance of
-    assigning the first j hypothesis words to the first s segments."""
-    # zero segments consume zero words; 1 << 30 marks the unreachable rest.
-    # Only this row holds it: every later row is at most H + R, so all rows
-    # fit in int32 while the arithmetic on them stays in int64
-    row = np.full(len(hyp) + 1, 1 << 30, dtype=np.int64)
-    row[0] = 0
-    yield row
-    for ref in ref_segments:
-        row = _extend(row, hyp, ref)
-        yield row
-
-
-def _align_ids(hyp_words: list, ref_segments: list) -> list:
-    if not ref_segments:
-        raise ValueError("need at least one reference segment")
-    return _word_ids(*([_align_key(w) for w in seq] for seq in (hyp_words, *ref_segments)))
-
-
-BLOCK_PAIRS = 512
-
-
-def word_edit_distances(pairs) -> list[int]:
-    """Word-level Levenshtein distance of each (hyp, ref) pair, in input order.
-
-    Pairs run in blocks of up to BLOCK_PAIRS through _column_step, the
-    step _extend takes, as a 2-D array with one row per pair. A block
-    sorts its pairs by reference length, longest first, so the rows
-    still active at reference word k are a prefix and step k works on
-    c[:n].
-    Hypotheses are padded with an id no word has; the step at column j
-    reads only columns up to j, so each row's distance is read at its
-    own hypothesis length. Cost: one column step per reference word of
-    the block's longest reference, over (pairs x longest hypothesis)
-    cells, with memory bounded by the block.
-    """
-    pairs = list(pairs)
-    out = [0] * len(pairs)
-    for lo in range(0, len(pairs), BLOCK_PAIRS):
-        block = sorted(range(lo, min(lo + BLOCK_PAIRS, len(pairs))), key=lambda i: -len(pairs[i][1]))
-        vocab = {}
-        hyp, hyp_lens = _padded_ids([pairs[i][0] for i in block], vocab)
-        ref, ref_lens = _padded_ids([pairs[i][1] for i in block], vocab)
-        # active[k]: the rows whose reference is longer than k
-        active = np.searchsorted(-ref_lens, -np.arange(ref.shape[1]))
-        c = np.zeros((len(block), hyp.shape[1] + 1), dtype=np.int64)
-        b = np.empty_like(c)
-        for k, n in enumerate(active.tolist()):
-            _column_step(c[:n], b[:n], ref[:n, k, None] == hyp[:n])
-        dists = c[np.arange(len(block)), hyp_lens] + hyp_lens
-        for i, d in zip(block, dists.tolist()):
-            out[i] = d
-    return out
+def _column_values(top: int, pv: int, mv: int, lo: int, n: int) -> np.ndarray:
+    """Rows lo .. lo + n of the column (top, pv, mv), as int64."""
+    below = (1 << lo) - 1
+    vals = np.empty(n + 1, dtype=np.int64)
+    vals[0] = top + (pv & below).bit_count() - (mv & below).bit_count()
+    vals[1:] = _bit_array(pv, lo, n)
+    vals[1:] -= _bit_array(mv, lo, n)
+    return np.cumsum(vals, out=vals)
 
 
 def word_edit_distance(a: list, b: list) -> int:
-    """Word-level Levenshtein distance between two token sequences."""
-    return word_edit_distances([(a, b)])[0]
+    """Word-level Levenshtein distance between two token sequences.
+
+    One bit-parallel step per word of the shorter side, over a bit set
+    as long as the longer side.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    mask = (1 << len(a)) - 1
+    bits = _position_bits(a)
+    pv, mv = _steps((bits.get(w, 0) for w in b), mask, mask, 0)
+    return len(b) + pv.bit_count() - mv.bit_count()
+
+
+def word_edit_distances(pairs) -> list[int]:
+    """Word-level Levenshtein distance of each (hyp, ref) pair, in input order."""
+    return [word_edit_distance(a, b) for a, b in pairs]
+
+
+def _align_keys(hyp_words: list, ref_segments: list):
+    if not ref_segments:
+        raise ValueError("need at least one reference segment")
+    key = {w: _align_key(w) for w in set(itertools.chain(hyp_words, *ref_segments))}
+    return [key[w] for w in hyp_words], [[key[w] for w in seg] for seg in ref_segments]
+
+
+def _suffix_columns(hyp: list, refs: list):
+    """Yield (top, pv, mv) after each segment of one reversed run.
+
+    The run steps the reversed concatenated references against the
+    reversed hypothesis, so the k-th column yielded holds, at row m, the
+    min cost of assigning the last m hypothesis words to the last k
+    segments. Chaining segments needs no extra step: extending k
+    segments by one takes, at each row, the minimum over earlier rows
+    plus one per skipped word, and as every column rises by at most one
+    per row, that minimum is the column itself.
+    """
+    mask = (1 << len(hyp)) - 1
+    bits = _position_bits(hyp[::-1])
+    top, pv, mv = 0, mask, 0
+    for ref in reversed(refs):
+        pv, mv = _steps((bits.get(w, 0) for w in reversed(ref)), mask, pv, mv)
+        top += len(ref)
+        yield top, pv, mv
 
 
 def alignment_cost(hyp_words: list, ref_segments: list) -> int:
-    """Minimum total edit distance achievable by resegment_mwer."""
-    hyp, *refs = _align_ids(hyp_words, ref_segments)
-    for row in _chain_costs(hyp, refs):
-        pass  # keep only the last row
-    return int(row[-1])
+    """Minimum total edit distance achievable by resegment_mwer.
+
+    It equals the edit distance between the hypothesis and the
+    concatenated references: any alignment induces a split and any
+    split gives an alignment.
+    """
+    for top, pv, mv in _suffix_columns(*_align_keys(hyp_words, ref_segments)):
+        pass  # keep only the last column
+    return top + pv.bit_count() - mv.bit_count()
 
 
 def resegment_mwer(hyp_words: list, ref_segments: list) -> list:
@@ -193,31 +188,41 @@ def resegment_mwer(hyp_words: list, ref_segments: list) -> list:
     boundary vector is the lexicographically smallest, so ties fall
     toward earlier boundaries.
 
-    Cost: two passes of O(H * sum of reference lengths) cells, as one
-    numpy column step per reference word, and an (S+1) x (H+1) int32
-    table of suffix costs.
+    Cost: one reversed run of bit-parallel steps, one per reference
+    word over the H-bit hypothesis, O(R * H / w) digit operations for R
+    reference words, then a forward run per boundary over the window
+    where it can fall. The suffix costs are kept as one (top, pv, mv)
+    column per segment, 2 bits a cell; each distinct hypothesis word
+    adds one H-bit set.
     """
-    hyp, *refs = _align_ids(hyp_words, ref_segments)
-    nhyp, nseg = len(hyp), len(refs)
-
-    # suffix costs via the same DP on the reversed problem: rev[k][m] is
-    # the min cost of assigning the last m words to the last k segments
-    rev = [row.astype(np.int32) for row in _chain_costs(hyp[::-1], [seg[::-1] for seg in refs[::-1]])]
-    total = rev[nseg][nhyp]
+    hyp, refs = _align_keys(hyp_words, ref_segments)
+    nhyp = len(hyp)
+    # suffix[s][m]: the min cost of assigning the last m words to segments s, s+1, ...
+    suffix = list(_suffix_columns(hyp, refs))[::-1]
+    top, pv, mv = suffix[0]
+    total = top + pv.bit_count() - mv.bit_count()
+    bits = _position_bits(hyp)
     groups = []
     start = 0
     used = 0
-    for s, ref in enumerate(refs):
+    for s, ref in enumerate(refs[:-1]):
+        # a later end cannot be optimal: dist >= k - len(ref), suffix >= 0
+        n = min(nhyp - start, len(ref) + total - used)
+        window = (1 << n) - 1
         # dist[k] = edit distance of hyp[start:start+k] vs ref
-        dist = _extend(np.arange(nhyp - start + 1), hyp[start:], ref)
+        pv, mv = _steps(((bits.get(w, 0) >> start) & window for w in ref), window, window, 0)
+        dist = _column_values(len(ref), pv, mv, 0, n)
         # the first end e whose split stays optimal: used + dist + suffix(e, s+1)
-        hits = np.flatnonzero(used + dist + rev[nseg - s - 1][nhyp - start :: -1] == total)
+        after = _column_values(*suffix[s + 1], nhyp - start - n, n)[::-1]
+        hits = np.flatnonzero(used + dist + after == total)
         if not hits.size:  # unreachable if the DP is consistent
             raise AssertionError("boundary recovery failed")
         end = start + int(hits[0])
         groups.append(list(hyp_words[start:end]))
         used += int(dist[end - start])
         start = end
+    # with no segment left, the last one takes every remaining word
+    groups.append(list(hyp_words[start:]))
     return groups
 
 

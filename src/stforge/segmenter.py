@@ -282,13 +282,19 @@ def parse_segments_yaml(text: str) -> list[Segment]:
         missing = {"duration", "offset", "speaker_id", "wav"} - entry.keys()
         if missing:
             raise ValueError(f"entry {i}: missing keys {sorted(missing)}")
+        for key in ("wav", "speaker_id"):
+            if not isinstance(entry[key], str):  # YAML reads unquoted null, yes or 5 as non-strings
+                raise ValueError(f"entry {i}: {key} must be a string, got {entry[key]!r}")
+        for key in ("offset", "duration"):
+            if isinstance(entry[key], bool):  # float(True) would be a 1 s time
+                raise ValueError(f"entry {i}: {key} must be a number, got {entry[key]!r}")
         try:
             segments.append(
                 Segment(
-                    wav=str(entry["wav"]),
+                    wav=entry["wav"],
                     offset=float(entry["offset"]),
                     duration=float(entry["duration"]),
-                    speaker_id=str(entry["speaker_id"]),
+                    speaker_id=entry["speaker_id"],
                 )
             )
         except (TypeError, ValueError) as exc:

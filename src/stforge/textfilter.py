@@ -3,9 +3,8 @@
 Covers the three keep/drop rules for training pairs: source audio over the
 sample cap, target text empty once speaker prefixes and parenthesized
 events are removed, and ASR hypothesis WER above the threshold.
-``filter_pairs`` applies them to a stream of pairs, with the WER of each
-block of survivors computed by one batched edit-distance call;
-``filter_pair`` is its one-pair form.
+``filter_pair`` decides one pair; ``filter_pairs`` applies it to a
+stream of pairs.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .evalign import BLOCK_PAIRS, word_edit_distance, word_edit_distances
+from .evalign import word_edit_distance
 
 DEFAULT_EVENT_LEXICON = frozenset({"Gelächter", "Applaus", "Musik", "Video", "Beifall"})
 
@@ -205,48 +204,23 @@ def clean_target(sentence: str, lexicon: frozenset = DEFAULT_EVENT_LEXICON, fix_
 def filter_pair(pair: TranscriptPair, asr_hyp: list[str], cfg: FilterConfig) -> FilterDecision:
     """Keep/drop decision for one training pair.
 
-    Checks run in order: source duration cap, empty-after-filtering
-    target, ASR WER strictly above the threshold. A source that
-    normalizes to no words cannot be verified against the hypothesis and
-    is dropped under the WER reason.
+    A pair is any object with n_samples, src_text and tgt_text, such as a
+    TranscriptPair or a manifest entry. Checks run in order: source
+    duration cap, empty-after-filtering target, ASR WER strictly above
+    the threshold. A source that normalizes to no words cannot be
+    verified against the hypothesis and is dropped under the WER reason.
     """
-    return next(filter_pairs([(pair, asr_hyp)], cfg))
+    if pair.n_samples > cfg.max_samples:
+        return FilterDecision(False, DROP_TOO_LONG)
+    if not clean_target(pair.tgt_text, cfg.event_lexicon).strip():
+        return FilterDecision(False, DROP_EMPTY)
+    ref = normalize_for_asr(pair.src_text)
+    if not ref or word_error_rate(asr_hyp, ref) > cfg.wer_threshold:
+        return FilterDecision(False, DROP_WER)
+    return FilterDecision(True)
 
 
 def filter_pairs(items, cfg: FilterConfig):
-    """Yield filter_pair's decision for each (pair, asr_hyp) item, in order.
-
-    A pair is any object with n_samples, src_text and tgt_text, such as a
-    TranscriptPair or a manifest entry. Items are read lazily. Those that
-    pass the duration and empty-target gates wait for the WER gate, which
-    runs once per block of up to BLOCK_PAIRS of them as one
-    word_edit_distances call, so memory is bounded by the block rather
-    than by the input.
-    """
-    window = []  # decisions since the last block; None until the WER gate runs
-    waiting = []  # (slot in window, hyp, ref)
+    """Yield filter_pair's decision for each (pair, asr_hyp) item, lazily and in order."""
     for pair, asr_hyp in items:
-        reason = None
-        if pair.n_samples > cfg.max_samples:
-            reason = DROP_TOO_LONG
-        elif not clean_target(pair.tgt_text, cfg.event_lexicon).strip():
-            reason = DROP_EMPTY
-        else:
-            ref = normalize_for_asr(pair.src_text)
-            if not ref:
-                reason = DROP_WER
-            else:
-                waiting.append((len(window), asr_hyp, ref))
-        window.append(None if reason is None else FilterDecision(False, reason))
-        if len(waiting) == BLOCK_PAIRS:
-            yield from _wer_gate(window, waiting, cfg)
-            window, waiting = [], []
-    yield from _wer_gate(window, waiting, cfg)
-
-
-def _wer_gate(window: list, waiting: list, cfg: FilterConfig) -> list:
-    distances = word_edit_distances([(hyp, ref) for _, hyp, ref in waiting])
-    for (slot, _, ref), distance in zip(waiting, distances):
-        too_far = distance / len(ref) > cfg.wer_threshold
-        window[slot] = FilterDecision(False, DROP_WER) if too_far else FilterDecision(True)
-    return window
+        yield filter_pair(pair, asr_hyp, cfg)

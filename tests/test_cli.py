@@ -1,20 +1,19 @@
 """End-to-end behavior of every subcommand through cli.main()."""
 
 import argparse
+import itertools
 import json
 import random
 
 import numpy as np
 import pytest
 
-from stforge import textfilter
 from stforge.audio import AudioClip, load_wav, write_wav
 from stforge.cli import EPOCH_SEED_STRIDE, build_parser, main
 from stforge.config import config_from_dict
-from stforge.evalign import word_edit_distances
 from stforge.sampler import ManifestEntry, SamplingSpec, epoch_sample, read_manifest, write_manifest
 from stforge.segmenter import Segment, parse_segments_yaml, write_segments_yaml
-from stforge.textfilter import FilterConfig, TranscriptPair, clean_target, filter_pair, normalize_for_asr
+from stforge.textfilter import FilterConfig, TranscriptPair, clean_target, filter_pair, filter_pairs, normalize_for_asr
 
 
 def jsonl_line(audio, tokens, frame_ms=100):
@@ -281,7 +280,7 @@ def reference_filter(entries, hyps, cfg):
 
 
 class TestFilterAtScale:
-    """More rows than one WER block, checked against the per-pair loop."""
+    """2,000 rows, checked against the per-pair loop."""
 
     WORDS = "wir haben das ist ein test guten morgen zehn stimmen".split()
     SRC_EXTRAS = ["", " 10 000", " (Applaus)", " 25"]
@@ -311,22 +310,14 @@ class TestFilterAtScale:
         hyps.write_text("".join(hyp_lines), encoding="utf-8")
         return entries, manifest, hyps
 
-    def test_matches_per_pair_loop(self, big, tmp_path, monkeypatch):
+    def test_matches_per_pair_loop(self, big, tmp_path):
         entries, manifest, hyps = big
-        blocks = []
-
-        def spy(pairs):
-            blocks.append(len(pairs))
-            return word_edit_distances(pairs)
-
-        monkeypatch.setattr(textfilter, "word_edit_distances", spy)
         out, report = tmp_path / "kept.tsv", tmp_path / "report.tsv"
         rc = main([
             "filter", "--manifest", str(manifest), "--asr-hyps", str(hyps),
             "--max-samples", "20000", "--out", str(out), "--report", str(report),
         ])
         assert rc == 0
-        assert blocks[:2] == [512, 512] and 0 < blocks[2] < 512 and len(blocks) == 3
         hyp_text = dict(line.split("\t") for line in hyps.read_text(encoding="utf-8").splitlines())
         want_kept, want_dropped = reference_filter(entries, hyp_text, FilterConfig(max_samples=20000))
         assert out.read_text(encoding="utf-8") == want_kept
@@ -337,6 +328,20 @@ class TestFilterAtScale:
         # cleaned once to "Bob:", then emptied by filter_pair's own cleaning
         anna = [e.id for e in entries if e.tgt_text == "Anna: Bob:" and e.n_samples <= 20000]
         assert anna and all(f"{ident}\tempty_after_filtering\n" in want_dropped for ident in anna)
+
+        # lazy over manifest entries: an input that fails after 700 of them
+        # has yielded their 700 decisions first
+        def failing():
+            for e in entries[:700]:
+                yield e, normalize_for_asr(hyp_text[e.id])
+            raise RuntimeError("input failed")
+
+        cfg = FilterConfig(max_samples=20000)
+        decisions = filter_pairs(failing(), cfg)
+        want = [filter_pair(e, normalize_for_asr(hyp_text[e.id]), cfg) for e in entries[:700]]
+        assert list(itertools.islice(decisions, 700)) == want
+        with pytest.raises(RuntimeError, match="input failed"):
+            next(decisions)
 
     def test_missing_hypothesis_late_in_manifest_writes_nothing(self, big, tmp_path):
         _, manifest, hyps = big

@@ -136,6 +136,47 @@ class TestResegment:
         assert [w for g in groups for w in g] == hyp
         assert sum(edit_distance(g, r) for g, r in zip(groups, refs)) == alignment_cost(hyp, refs)
 
+    @given(
+        st.lists(st.sampled_from("abc"), max_size=120),
+        st.lists(st.lists(st.sampled_from("abc"), max_size=25), min_size=1, max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cost_is_edit_distance_to_the_concatenated_references(self, hyp, refs):
+        # any alignment to the concatenation induces a split, and any split gives one
+        assert alignment_cost(hyp, refs) == edit_distance(hyp, [w for ref in refs for w in ref])
+
+    @given(
+        st.lists(st.sampled_from("abc"), min_size=60, max_size=80),
+        st.lists(st.lists(st.sampled_from("abc"), max_size=20), min_size=2, max_size=5),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_matches_boundary_dp_oracle_at_70_words(self, hyp, refs):
+        # windows and suffix columns span several 30-bit int digits
+        want_cost, want_ends = mwer_dp(hyp, refs)
+        groups = resegment_mwer(hyp, refs)
+        assert alignment_cost(hyp, refs) == want_cost
+        assert list(itertools.accumulate(len(g) for g in groups)) == want_ends
+
+    def test_1000_segments_keep_suffix_costs_in_2_bits_a_cell(self):
+        rng = random.Random(13)
+        vocab = [f"w{i}" for i in range(400)]
+        refs = [[rng.choice(vocab) for _ in range(rng.randint(0, 40))] for _ in range(1000)]
+        hyp = [w for ref in refs for w in ref if rng.random() > 0.1]
+        hyp[::50] = ["oov"] * len(hyp[::50])
+        tracemalloc.start()
+        try:
+            groups = resegment_mwer(hyp, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4 bits a cell; an int32 suffix table alone would take 32. The
+        # suffix columns take 2, and the bit sets of the 401 distinct
+        # hypothesis words at most V / S = 0.4
+        assert 17_000 < len(hyp) < 19_000
+        assert peak < (len(refs) + 1) * (len(hyp) + 1) / 2
+        assert [w for g in groups for w in g] == hyp
+        assert sum(word_edit_distance(g, r) for g, r in zip(groups, refs)) == alignment_cost(hyp, refs)
+
     def test_no_segments_rejected(self):
         with pytest.raises(ValueError):
             resegment_mwer(["a"], [])
@@ -164,7 +205,7 @@ class TestResegment:
 
 
 class TestWordEditDistances:
-    """The block path of the shared column step against the full-matrix oracle."""
+    """The bit-parallel kernel against the full-matrix oracle."""
 
     words = st.lists(st.sampled_from("abcde"), max_size=12)
 
@@ -182,8 +223,8 @@ class TestWordEditDistances:
         assert word_edit_distances(pairs) == [0, 2, 1, 0, 2]
 
     def test_many_blocks_come_back_in_input_order(self):
-        # 1,300 pairs: two full blocks and a partial one, with lengths that
-        # do not follow input order, so every block sorts and pads unevenly
+        # 1,300 pairs with lengths that do not follow input order; either
+        # side may be the shorter one, which takes the steps
         rng = random.Random(7)
         vocab = ["w%d" % i for i in range(6)]
         pairs = [
@@ -192,6 +233,13 @@ class TestWordEditDistances:
             for i in range(1300)
         ]
         assert word_edit_distances(pairs) == [edit_distance(*pair) for pair in pairs]
+
+    @given(st.lists(st.sampled_from("ab"), max_size=300), st.lists(st.sampled_from("ab"), max_size=300))
+    @settings(max_examples=40, deadline=None)
+    def test_long_two_letter_sequences_match_oracle(self, a, b):
+        # bit sets of up to 300 bits span ten 30-bit int digits, and a
+        # 2-letter vocabulary makes long carry runs that cross them
+        assert word_edit_distance(a, b) == word_edit_distance(b, a) == edit_distance(a, b)
 
     def test_one_pair_form(self):
         assert word_edit_distance(["a", "x", "c"], ["a", "b", "c", "d"]) == 2

@@ -341,11 +341,22 @@ class TestInterchange:
         ("duration: .nan, offset: 0.0", "duration must be finite"),
         ("duration: 1.0, offset: abc", "could not convert"),
         ("duration: null, offset: 0.0", "NoneType"),
+        ("duration: true, offset: 0.0", "duration must be a number, got True"),
+        ("duration: 1.0, offset: false", "offset must be a number, got False"),
     ])
     def test_yaml_errors_name_the_entry(self, times, message):
         good = "- {duration: 1.0, offset: 0.0, speaker_id: s, wav: a.wav}\n"
         with pytest.raises(ValueError, match=f"entry 1: .*{message}"):
             parse_segments_yaml(f"{good}- {{{times}, speaker_id: s, wav: a.wav}}\n")
+
+    @pytest.mark.parametrize("key", ["speaker_id", "wav"])
+    @pytest.mark.parametrize("value, shown", [("true", "True"), ("null", "None"), ("5", "5"), ("1.5", "1.5")])
+    def test_yaml_ids_must_be_strings(self, key, value, shown):
+        # unquoted, YAML reads these as bool, None, int and float; "None" or "5" would be a made-up id
+        fields = {"speaker_id": "s", "wav": "a.wav", key: value}
+        text = f"- {{duration: 1.0, offset: 0.0, speaker_id: {fields['speaker_id']}, wav: {fields['wav']}}}\n"
+        with pytest.raises(ValueError, match=f"entry 0: {key} must be a string, got {shown}$"):
+            parse_segments_yaml(text)
 
 
 class TestConfigValidation:

@@ -1,5 +1,6 @@
 """Transcript cleanup, ASR-style normalization, WER, and the keep/drop gate."""
 
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stforge import textfilter
-from stforge.evalign import word_edit_distances
 from stforge.textfilter import (
     DEFAULT_EVENT_LEXICON,
     DROP_EMPTY,
@@ -275,14 +275,7 @@ class TestFilterPair:
 
 
 class TestFilterPairs:
-    def test_matches_filter_pair_in_order(self, monkeypatch):
-        blocks = []
-
-        def spy(pairs):
-            blocks.append(len(pairs))
-            return word_edit_distances(pairs)
-
-        monkeypatch.setattr(textfilter, "word_edit_distances", spy)
+    def test_matches_filter_pair_in_order(self):
         cfg = FilterConfig(wer_threshold=0.3)
         rng = random.Random(3)
         items = []
@@ -292,9 +285,17 @@ class TestFilterPairs:
             hyp = [rng.choice("a b c seven".split()) for _ in range(rng.randint(0, 8))]
             items.append((TranscriptPair(f"u{i}", rng.randint(0, 440_000), src, tgt), hyp))
         want = [filter_pair(pair, hyp, cfg) for pair, hyp in items]
-        blocks.clear()
         assert list(filter_pairs(iter(items), cfg)) == want
-        assert blocks[:2] == [512, 512] and 0 < blocks[2] < 512 and len(blocks) == 3
+
+        # lazy: an input that fails after 700 items has yielded their 700 decisions first
+        def failing():
+            yield from items[:700]
+            raise RuntimeError("input failed")
+
+        decisions = filter_pairs(failing(), cfg)
+        assert list(itertools.islice(decisions, 700)) == want[:700]
+        with pytest.raises(RuntimeError, match="input failed"):
+            next(decisions)
         assert {d.reason for d in want} == {None, DROP_TOO_LONG, DROP_EMPTY, DROP_WER}
 
     def test_empty_input(self):
