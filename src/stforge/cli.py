@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -207,12 +208,16 @@ def cmd_score(args, cfg: config_mod.PipelineConfig) -> int:
     return 0
 
 
-def _sweep_value(stem: str) -> float:
+def _sweep_value(path: str) -> float:
+    stem = os.path.splitext(os.path.basename(path))[0]
     tail = stem.rsplit("_", 1)[-1]
     try:
-        return float(tail)
+        value = float(tail)
     except ValueError:
-        raise ValueError(f"cannot read a max_seg_len value from file name {stem!r}") from None
+        raise ValueError(f"{path}: cannot read a max_seg_len value from file name {stem!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{path}: max_seg_len {tail!r} in the file name is not a positive finite number")
+    return value
 
 
 def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
@@ -222,7 +227,7 @@ def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
         raise ValueError(f"no segmentation YAML files in {args.segdir}")
     by_value = {}
     for name in names:
-        value = _sweep_value(os.path.splitext(name)[0])
+        value = _sweep_value(os.path.join(args.segdir, name))
         if value in by_value:
             raise ValueError(f"{args.segdir}: {by_value[value]} and {name} both give max_seg_len {value:g}")
         by_value[value] = name

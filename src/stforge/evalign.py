@@ -15,15 +15,26 @@ concatenated references, so aligning costs one run of R steps: O(R * H
 / w) digit operations, with w = 30 bits per CPython int digit.
 Resegmentation keeps its suffix costs as one column per segment, 2 bits
 a cell.
+
+A sweep scores many hypotheses against one reference set, so BLEU
+counts each distinct reference's n-grams once per process, cached on its
+tokens, and clips a segment's matches by taking one from a copy of those
+counts for each hypothesis n-gram. The 13a rules are one str.translate
+pass plus two conditional regex passes: the period/comma substitutions
+run only on text holding a period or comma, the digit-dash one only on
+text holding a dash.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
+import string
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,12 +53,22 @@ class BleuScore:
     empty_hyp: bool = False
 
 
+# mteval-13a's first rule pads [{-~[-` -&(-+:-@/] with spaces: every ASCII
+# punctuation mark but the apostrophe, comma, dash and period, and the
+# space. Padding a space only lengthens a run of spaces, which leaves
+# every other character's neighbours, and so the later rules and the
+# tokens, as they were; the table leaves spaces out, as mapping them
+# makes translate about five times slower on prose.
+_PAD_13A = str.maketrans({c: f" {c} " for c in set(string.punctuation) - set("',-.")})
+
+
 def tokenize_13a(text: str) -> list[str]:
     """Tokenize like mteval-v13a: split out punctuation, keep numbers whole.
 
     Periods and commas stay attached only between digits; a dash splits
     only after a digit. HTML entities are mapped back to characters
-    first.
+    first. The first rule is one str.translate; the period/comma and
+    digit-dash rules run only on text holding their characters.
     """
     norm = text
     norm = norm.replace("<skipped>", "")
@@ -58,11 +79,12 @@ def tokenize_13a(text: str) -> list[str]:
     norm = norm.replace("&lt;", "<")
     norm = norm.replace("&gt;", ">")
 
-    norm = f" {norm} "
-    norm = re.sub(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])", " \\1 ", norm)
-    norm = re.sub(r"([^0-9])([\.,])", "\\1 \\2 ", norm)
-    norm = re.sub(r"([\.,])([^0-9])", " \\1 \\2", norm)
-    norm = re.sub(r"([0-9])(-)", "\\1 \\2 ", norm)
+    norm = f" {norm} ".translate(_PAD_13A)
+    if "." in norm or "," in norm:
+        norm = re.sub(r"([^0-9])([\.,])", "\\1 \\2 ", norm)
+        norm = re.sub(r"([\.,])([^0-9])", " \\1 \\2", norm)
+    if "-" in norm:
+        norm = re.sub(r"([0-9])(-)", "\\1 \\2 ", norm)
     return norm.split()
 
 
@@ -76,10 +98,17 @@ def _align_key(word: str) -> str:
     return stripped if stripped else word.casefold()
 
 
-def _position_bits(words) -> dict:
-    """word -> bit set of the positions where it occurs in words."""
+def _position_bits(words, vocab=None) -> dict:
+    """word -> bit set of the positions where it occurs in words.
+
+    With a vocab, only words in it get a set: the others are never
+    looked up.
+    """
+    positions = enumerate(words)
+    if vocab is not None:
+        positions = ((i, w) for i, w in positions if w in vocab)
     bits = {}
-    for i, w in enumerate(words):
+    for i, w in positions:
         bits[w] = bits.get(w, 0) | 1 << i
     return bits
 
@@ -141,13 +170,15 @@ def word_edit_distances(pairs) -> list[int]:
 
 
 def _align_keys(hyp_words: list, ref_segments: list):
+    """(hyp keys, ref keys per segment, the set of ref keys)."""
     if not ref_segments:
         raise ValueError("need at least one reference segment")
     key = {w: _align_key(w) for w in set(itertools.chain(hyp_words, *ref_segments))}
-    return [key[w] for w in hyp_words], [[key[w] for w in seg] for seg in ref_segments]
+    refs = [[key[w] for w in seg] for seg in ref_segments]
+    return [key[w] for w in hyp_words], refs, set(itertools.chain(*refs))
 
 
-def _suffix_columns(hyp: list, refs: list):
+def _suffix_columns(hyp: list, refs: list, vocab: set):
     """Yield (top, pv, mv) after each segment of one reversed run.
 
     The run steps the reversed concatenated references against the
@@ -159,7 +190,7 @@ def _suffix_columns(hyp: list, refs: list):
     per row, that minimum is the column itself.
     """
     mask = (1 << len(hyp)) - 1
-    bits = _position_bits(hyp[::-1])
+    bits = _position_bits(hyp[::-1], vocab)
     top, pv, mv = 0, mask, 0
     for ref in reversed(refs):
         pv, mv = _steps((bits.get(w, 0) for w in reversed(ref)), mask, pv, mv)
@@ -193,15 +224,15 @@ def resegment_mwer(hyp_words: list, ref_segments: list) -> list:
     reference words, then a forward run per boundary over the window
     where it can fall. The suffix costs are kept as one (top, pv, mv)
     column per segment, 2 bits a cell; each distinct hypothesis word
-    adds one H-bit set.
+    that some reference holds adds one H-bit set.
     """
-    hyp, refs = _align_keys(hyp_words, ref_segments)
+    hyp, refs, vocab = _align_keys(hyp_words, ref_segments)
     nhyp = len(hyp)
     # suffix[s][m]: the min cost of assigning the last m words to segments s, s+1, ...
-    suffix = list(_suffix_columns(hyp, refs))[::-1]
+    suffix = list(_suffix_columns(hyp, refs, vocab))[::-1]
     top, pv, mv = suffix[0]
     total = top + pv.bit_count() - mv.bit_count()
-    bits = _position_bits(hyp)
+    bits = _position_bits(hyp, vocab)
     groups = []
     start = 0
     used = 0
@@ -226,8 +257,20 @@ def resegment_mwer(hyp_words: list, ref_segments: list) -> list:
     return groups
 
 
-def _ngram_counts(tokens: list, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens) -> list:
+    """The 1- to NGRAM_ORDER-grams of tokens, one list per order.
+
+    Unigrams are the (string) tokens themselves and longer n-grams
+    tuples of them, so no two orders share a key.
+    """
+    return [tokens] + [list(zip(*(tokens[i:] for i in range(n)))) for n in range(2, NGRAM_ORDER + 1)]
+
+
+@functools.lru_cache(maxsize=8192)
+def _reference_ngrams(ref: tuple) -> MappingProxyType:
+    """n-gram -> count over every order of one reference, read-only:
+    every call with these tokens gets the same mapping."""
+    return MappingProxyType(dict(Counter(itertools.chain.from_iterable(_ngrams(ref)))))
 
 
 def corpus_bleu(hyp_segments: list, ref_segments: list) -> BleuScore:
@@ -239,6 +282,11 @@ def corpus_bleu(hyp_segments: list, ref_segments: list) -> BleuScore:
     contribute a finite penalty. Brevity penalty is exp(1 - ref/hyp)
     for short hypotheses; an empty hypothesis corpus scores 0 with the
     penalty reported as 0 and flagged.
+
+    Each distinct reference is counted once per process, keyed on its
+    tokens; a segment's clipped matches, the sum of min(hyp count, ref
+    count) over its n-grams, are the hypothesis n-grams that can each
+    take one from a copy of the reference counts.
     """
     if len(hyp_segments) != len(ref_segments):
         raise ValueError(
@@ -254,13 +302,16 @@ def corpus_bleu(hyp_segments: list, ref_segments: list) -> BleuScore:
     for hyp, ref in zip(hyp_segments, ref_segments):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, NGRAM_ORDER + 1):
-            hyp_counts = _ngram_counts(hyp, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngram_counts(ref, n)
-            total[n - 1] += max(len(hyp) - n + 1, 0)
-            correct[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        if not hyp:
+            continue
+        left = _reference_ngrams(tuple(ref)).copy()
+        for n, grams in enumerate(_ngrams(hyp)):
+            total[n] += len(grams)
+            for g in grams:
+                c = left.get(g)
+                if c:
+                    left[g] = c - 1
+                    correct[n] += 1
 
     if hyp_len == 0:
         return BleuScore(0.0, (0.0,) * NGRAM_ORDER, 0.0, 0, ref_len, empty_hyp=True)

@@ -253,6 +253,29 @@ def bleu_recount(hyp_segments, ref_segments):
     return tuple(precisions), bp, score
 
 
+def tokenize_13a(text):
+    """mteval-v13a tokenization as four regex substitutions, one per rule.
+
+    The package pads the first rule's characters with one str.translate
+    and skips the other rules on text without their characters.
+    """
+    norm = text
+    norm = norm.replace("<skipped>", "")
+    norm = norm.replace("-\n", "")
+    norm = norm.replace("\n", " ")
+    norm = norm.replace("&quot;", '"')
+    norm = norm.replace("&amp;", "&")
+    norm = norm.replace("&lt;", "<")
+    norm = norm.replace("&gt;", ">")
+
+    norm = f" {norm} "
+    norm = re.sub(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])", " \\1 ", norm)
+    norm = re.sub(r"([^0-9])([\.,])", "\\1 \\2 ", norm)
+    norm = re.sub(r"([\.,])([^0-9])", " \\1 \\2", norm)
+    norm = re.sub(r"([0-9])(-)", "\\1 \\2 ", norm)
+    return norm.split()
+
+
 def remove_events(sentence, lexicon, speaker_prefix):
     """Event removal by one left-to-right scan with a stack of open groups.
 

@@ -621,6 +621,22 @@ class TestSweepScore:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("name", ["x_nan.yaml", "y_NaN.yaml", "z_inf.yaml", "w_-inf.yml", "v_0.yaml", "u_-5.yaml"])
+    def test_non_finite_or_non_positive_value_in_name_exits_1(self, tmp_path, caplog, name):
+        segdir, transdir = self.seed_dir(tmp_path, {8: ["a", "b"]})
+        (segdir / name).write_text((segdir / "max_seg_len_8.yaml").read_text(encoding="utf-8"), encoding="utf-8")
+        (transdir / (name.rsplit(".", 1)[0] + ".txt")).write_text("a\nb\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("a\nb\n", encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        rc = main([
+            "sweep-score", "--segdir", str(segdir), "--trans", str(transdir),
+            "--ref", str(tmp_path / "ref.txt"), "--out", str(out),
+        ])
+        assert rc == 1
+        assert f"{segdir / name}: max_seg_len" in caplog.text
+        assert "not a positive finite number" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("names", [
         ("max_seg_len_5.yaml", "max_seg_len_5.0.yaml"),
         ("x_5.yaml", "x_5.yml"),

@@ -6,7 +6,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stforge.evalign import (
@@ -21,6 +21,7 @@ from stforge.evalign import (
 )
 from stforge.segmenter import Segment
 
+import oracles
 from oracles import bleu_recount, edit_distance, mwer_dp, mwer_exhaustive
 
 
@@ -51,6 +52,20 @@ class TestTokenize13a:
     def test_whitespace_only(self):
         assert tokenize_13a("") == []
         assert tokenize_13a("   \n  ") == []
+
+    # every rule-1 character, the characters of the other rules, digits,
+    # entities, the strings removed first, other whitespace and non-ASCII
+    # letters
+    PIECES = [
+        *' !"#$%&()*+/:;<=>?@[\\]^_`{|}~', *"0123456789", ".", ",", "-", "'",
+        "&quot;", "&amp;", "&lt;", "&gt;", "<skipped>", "-\n", "\t", "\n", "\u00a0",
+        "a", "Z", "ä", "ß", "é", "Ж", "语",
+    ]
+
+    @given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_four_regex_reference(self, text):
+        assert tokenize_13a(text) == oracles.tokenize_13a(text)
 
 
 class TestResegment:
@@ -149,6 +164,12 @@ class TestResegment:
         st.lists(st.sampled_from("abc"), min_size=60, max_size=80),
         st.lists(st.lists(st.sampled_from("abc"), max_size=20), min_size=2, max_size=5),
     )
+    # OOV-heavy talks: two words in three, or every word, in no reference
+    @example(
+        hyp=["abc"[i // 3 % 3] if i % 3 == 0 else f"oov{i % 7}" for i in range(70)],
+        refs=[list("abcab"), list("cabbac"), list("bca"), list("aabbcc")],
+    )
+    @example(hyp=[f"oov{i % 9}" for i in range(64)], refs=[list("ab"), [], list("cab")])
     @settings(max_examples=6, deadline=None)
     def test_matches_boundary_dp_oracle_at_70_words(self, hyp, refs):
         # windows and suffix columns span several 30-bit int digits
@@ -286,24 +307,42 @@ class TestCorpusBleu:
             corpus_bleu([["a"]], [[]])
 
     def test_matches_independent_recount(self):
+        # several hypothesis sets per reference set, one reference list in
+        # several segments, and references mutated in place between calls:
+        # reference counts are cached on content, so none may go stale
         rng = random.Random(23)
         vocab = ["der", "die", "das", "hund", "katze", "läuft", "schnell"]
-        for trial in range(200):
-            nseg = rng.randint(1, 5)
-            refs = [
-                [rng.choice(vocab) for _ in range(rng.randint(1, 10))] for _ in range(nseg)
-            ]
-            hyps = [
-                [rng.choice(vocab) for _ in range(rng.randint(0, 10))] for _ in range(nseg)
-            ]
+
+        def hyp_for(ref):
+            if rng.random() < 0.5:
+                return [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
+            return [w if rng.random() < 0.8 else rng.choice(vocab) for w in ref if rng.random() < 0.9]
+
+        def check(hyps, refs, trial):
             result = corpus_bleu(hyps, refs)
             want_p, want_bp, want_score = bleu_recount(hyps, refs)
             if result.empty_hyp:
                 assert want_score == 0.0
-                continue
+                return
             assert result.precisions == pytest.approx(want_p, abs=1e-12), f"trial {trial}"
             assert result.brevity_penalty == pytest.approx(want_bp, abs=1e-12)
             assert result.score == pytest.approx(want_score, abs=1e-9)
+
+        for trial in range(200):
+            nseg = rng.randint(1, 5)
+            pool = [
+                [rng.choice(vocab) for _ in range(rng.randint(1, 10))]
+                for _ in range(rng.randint(1, nseg))
+            ]
+            refs = [rng.choice(pool) for _ in range(nseg)]
+            for _ in range(3):
+                check([hyp_for(ref) for ref in refs], refs, trial)
+            hyps = [hyp_for(ref) for ref in refs]
+            check(hyps, refs, trial)
+            ref = rng.choice(refs)
+            ref[rng.randrange(len(ref))] = rng.choice(vocab)
+            ref.append(rng.choice(vocab))
+            check(hyps, refs, trial)
 
     def test_score_bounded(self):
         rng = random.Random(31)
