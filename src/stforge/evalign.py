@@ -14,7 +14,8 @@ mWER optimum is the edit distance between the hypothesis and the
 concatenated references, so aligning costs one run of R steps: O(R * H
 / w) digit operations, with w = 30 bits per CPython int digit.
 Resegmentation keeps its suffix costs as one column per segment, 2 bits
-a cell.
+a cell. A pair's WER runs the step over the pair's differing middle
+only, once the shared prefix and suffix are stripped.
 
 A sweep scores many hypotheses against one reference set, so BLEU
 counts each distinct reference's n-grams once per process, cached on its
@@ -153,20 +154,29 @@ def _column_values(top: int, pv: int, mv: int, lo: int, n: int) -> np.ndarray:
 def word_edit_distance(a: list, b: list) -> int:
     """Word-level Levenshtein distance between two token sequences.
 
-    One bit-parallel step per word of the shorter side, over a bit set
-    as long as the longer side.
+    A shared prefix or suffix never changes the distance (Ukkonen,
+    1985), so both are stripped first and the kernel runs over the
+    differing middles only: one bit-parallel step per word of the
+    shorter middle, over a bit set as long as the longer one.
     """
+    lo = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        lo += 1
+    end_a, end_b = len(a), len(b)
+    while end_a > lo and end_b > lo and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    a, b = a[lo:end_a], b[lo:end_b]
+    if not a or not b:
+        return len(a) + len(b)
     if len(a) < len(b):
         a, b = b, a
     mask = (1 << len(a)) - 1
     bits = _position_bits(a)
     pv, mv = _steps((bits.get(w, 0) for w in b), mask, mask, 0)
     return len(b) + pv.bit_count() - mv.bit_count()
-
-
-def word_edit_distances(pairs) -> list[int]:
-    """Word-level Levenshtein distance of each (hyp, ref) pair, in input order."""
-    return [word_edit_distance(a, b) for a, b in pairs]
 
 
 def _align_keys(hyp_words: list, ref_segments: list):

