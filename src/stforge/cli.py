@@ -32,7 +32,7 @@ from .segmenter import (
     sweep_max_seg_len,
     write_segments_yaml,
 )
-from .textfilter import clean_target, filter_pairs, normalize_for_asr
+from .textfilter import clean_target, filter_pair, normalize_for_asr
 
 logger = logging.getLogger("stforge.cli")
 
@@ -70,6 +70,13 @@ def cmd_sweep(args, cfg: config_mod.PipelineConfig) -> int:
     return 0
 
 
+def _read_manifest(path) -> list:
+    try:
+        return read_manifest(_read_text(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_hyps_tsv(path) -> dict:
     hyps = {}
     for lineno, line in enumerate(split_lines(_read_text(path)), start=1):
@@ -85,10 +92,10 @@ def _read_hyps_tsv(path) -> dict:
 
 
 def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
-    entries = read_manifest(_read_text(args.manifest))
+    entries = _read_manifest(args.manifest)
     hyps = _read_hyps_tsv(args.asr_hyps)
     lexicon = cfg.filter.event_lexicon
-    cleaned = []
+    kept, dropped = [], []
     for e in entries:
         if e.id not in hyps:
             raise ValueError(f"{e.id}: no ASR hypothesis in {args.asr_hyps}")
@@ -96,11 +103,8 @@ def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
         # filtered pair; thousands separators are a EuroparlST quirk
         fix = e.split.startswith("EuroparlST")
         src, tgt = clean_target(e.src_text, lexicon, fix), clean_target(e.tgt_text, lexicon, fix)
-        cleaned.append(ManifestEntry(e.id, e.audio, e.n_samples, e.n_tgt_tokens, e.split, src, tgt))
-
-    kept, dropped = [], []
-    items = ((e, normalize_for_asr(hyps[e.id])) for e in cleaned)
-    for entry, decision in zip(cleaned, filter_pairs(items, cfg.filter)):
+        entry = ManifestEntry(e.id, e.audio, e.n_samples, e.n_tgt_tokens, e.split, src, tgt)
+        decision = filter_pair(entry, normalize_for_asr(hyps[e.id]), cfg.filter)
         if decision.keep:
             kept.append(entry)
         else:
@@ -116,7 +120,7 @@ def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
 
 def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
     if args.input.endswith(".tsv"):
-        entries = read_manifest(_read_text(args.input))
+        entries = _read_manifest(args.input)
         items = [(e.id, os.path.join(cfg.audio_root, e.audio)) for e in entries]
     else:
         stem = os.path.splitext(os.path.basename(args.input))[0]
@@ -152,7 +156,7 @@ def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_sample(args, cfg: config_mod.PipelineConfig) -> int:
-    entries = read_manifest(_read_text(args.manifest))
+    entries = _read_manifest(args.manifest)
     chosen = epoch_sample(entries, cfg.sampling, cfg.seed * EPOCH_SEED_STRIDE + args.epoch)
     with atomic_write(args.out) as fh:
         write_manifest(chosen, fh)
@@ -161,7 +165,7 @@ def cmd_sample(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_batch(args, cfg: config_mod.PipelineConfig) -> int:
-    entries = read_manifest(_read_text(args.input))
+    entries = _read_manifest(args.input)
     usable = filter_lengths(entries, cfg.batch)
     if len(usable) < len(entries):
         logger.info("dropped %d over-length entries", len(entries) - len(usable))

@@ -7,6 +7,7 @@ batches. Everything is deterministic given the epoch seed.
 
 from __future__ import annotations
 
+import collections
 import math
 import random
 from dataclasses import dataclass, field
@@ -32,25 +33,19 @@ DEFAULT_RATIOS = {
 MANIFEST_COLUMNS = ("id", "audio", "n_samples", "n_tgt_tokens", "split", "src_text", "tgt_text")
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    """One training example's bookkeeping row."""
+class ManifestEntry(collections.namedtuple("ManifestEntry", MANIFEST_COLUMNS)):
+    """One training example's bookkeeping row: a named tuple, checked when built."""
 
-    id: str
-    audio: str
-    n_samples: int
-    n_tgt_tokens: int
-    split: str
-    src_text: str = ""
-    tgt_text: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_samples <= 0:
-            raise ValueError(f"{self.id}: n_samples must be positive, got {self.n_samples}")
-        if self.n_tgt_tokens < 0:
-            raise ValueError(f"{self.id}: n_tgt_tokens must be >= 0, got {self.n_tgt_tokens}")
-        if self.split not in TRAINING_SPLITS:
-            raise ValueError(f"{self.id}: unknown split {self.split!r}")
+    def __new__(cls, id, audio, n_samples, n_tgt_tokens, split, src_text="", tgt_text=""):
+        if n_samples <= 0:
+            raise ValueError(f"{id}: n_samples must be positive, got {n_samples}")
+        if n_tgt_tokens < 0:
+            raise ValueError(f"{id}: n_tgt_tokens must be >= 0, got {n_tgt_tokens}")
+        if split not in TRAINING_SPLITS:
+            raise ValueError(f"{id}: unknown split {split!r}")
+        return tuple.__new__(cls, (id, audio, n_samples, n_tgt_tokens, split, src_text, tgt_text))
 
 
 @dataclass(frozen=True)
@@ -175,12 +170,20 @@ def batch_stats(batches: list, accumulation: int = 16, world_size: int = 4) -> d
     }
 
 
+def _count(text: str, column: str) -> int:
+    # str(int) form only: ASCII digits, no sign, space, underscore or leading zero
+    if text.isdigit() and text.isascii() and (text[0] != "0" or text == "0"):
+        return int(text)
+    raise ValueError(f"{column} must be a non-negative integer, got {text!r}")
+
+
 def read_manifest(text: str) -> list:
     """Parse a tab-separated manifest with the standard header.
 
     Columns: id, audio, n_samples, n_tgt_tokens, split, src_text,
     tgt_text. No quoting; fields must not contain tabs or line breaks,
-    and a line ends at a line feed only. Ids must be unique.
+    and a line ends at a line feed only. Numbers are written as str(int)
+    writes them. Ids must be unique.
     """
     lines = split_lines(text)
     if not lines:
@@ -197,21 +200,13 @@ def read_manifest(text: str) -> list:
         parts = line.split("\t")
         if len(parts) != len(MANIFEST_COLUMNS):
             raise ValueError(f"manifest line {lineno}: expected {len(MANIFEST_COLUMNS)} fields, got {len(parts)}")
-        seen = first_line.setdefault(parts[0], lineno)
+        ident, audio, n_samples, n_tgt_tokens, split, src_text, tgt_text = parts
+        seen = first_line.setdefault(ident, lineno)
         if seen != lineno:
-            raise ValueError(f"manifest line {lineno}: duplicate id {parts[0]!r} (first on line {seen})")
+            raise ValueError(f"manifest line {lineno}: duplicate id {ident!r} (first on line {seen})")
         try:
-            entries.append(
-                ManifestEntry(
-                    id=parts[0],
-                    audio=parts[1],
-                    n_samples=int(parts[2]),
-                    n_tgt_tokens=int(parts[3]),
-                    split=parts[4],
-                    src_text=parts[5],
-                    tgt_text=parts[6],
-                )
-            )
+            entries.append(ManifestEntry(ident, audio, _count(n_samples, "n_samples"),
+                                         _count(n_tgt_tokens, "n_tgt_tokens"), split, src_text, tgt_text))
         except ValueError as exc:
             raise ValueError(f"manifest line {lineno}: {exc}") from None
     return entries
@@ -221,8 +216,7 @@ def write_manifest(entries: list, stream) -> None:
     """Serialize entries in the standard tab-separated layout."""
     stream.write("\t".join(MANIFEST_COLUMNS) + "\n")
     for e in entries:
-        fields = (e.id, e.audio, str(e.n_samples), str(e.n_tgt_tokens), e.split, e.src_text, e.tgt_text)
-        for f in fields:
-            if "\t" in f or "\n" in f or "\r" in f:
-                raise ValueError(f"{e.id}: manifest fields must not contain tabs or line breaks")
-        stream.write("\t".join(fields) + "\n")
+        line = "\t".join((e.id, e.audio, str(e.n_samples), str(e.n_tgt_tokens), e.split, e.src_text, e.tgt_text))
+        if line.count("\t") != len(MANIFEST_COLUMNS) - 1 or "\n" in line or "\r" in line:
+            raise ValueError(f"{e.id}: manifest fields must not contain tabs or line breaks")
+        stream.write(line + "\n")

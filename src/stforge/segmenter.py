@@ -6,11 +6,13 @@ token contains no ASCII letter, which is why the interchange format encodes
 the CTC blank as "" and the word separator as "|". The gap chosen for a
 span does not depend on the maximum segment length, so each transcript has
 one split tree. A segmentation is a cut of it, stopping at spans that fit
-the cap or have no usable gap; a sweep cuts one tree once per cap.
+the cap or have no usable gap; a sweep walks the tree once for all caps,
+emitting each span once for the range of caps whose cut holds it.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -177,23 +179,32 @@ def _split_tree(t: FrameTranscript, min_gap: float):
     return split
 
 
-def _cut(t: FrameTranscript, split, max_seg_len: float) -> list[Segment]:
-    """Frontier of the split tree: spans no longer than max_seg_len, or unsplittable."""
+def _frontiers(t: FrameTranscript, min_gap: float, caps: list[float]) -> list[list[Segment]]:
+    """Frontier of the split tree under each of the ascending caps, in one walk.
+
+    A span reached under caps [0, reach) is one Segment in the lists of those
+    that hold it whole (all of them if it has no usable gap); the rest split it.
+    """
+    split = _split_tree(t, min_gap)
     frame_s = t.frame_ms / 1000.0
-    max_frames = int(math.floor(max_seg_len * 1000.0 / t.frame_ms + 1e-9))
+    limits = [int(math.floor(cap * 1000.0 / t.frame_ms + 1e-9)) for cap in caps]
     speaker = os.path.basename(t.audio_id).rsplit(".", 1)[0]
-    segments: list[Segment] = []
-    stack = [(0, len(t.tokens))]
+    frontiers: list[list[Segment]] = [[] for _ in caps]
+    stack = [(0, len(t.tokens), len(caps))]  # a span and the caps [0, reach) it is reached under
     while stack:
-        start, end = stack.pop()
-        mid = None if end - start <= max_frames else split(start, end)
+        start, end, reach = stack.pop()
+        # caps [fits, reach) hold the span whole; fits <= reach, as a half is shorter than its parent
+        fits = bisect.bisect_left(limits, end - start)
+        mid = split(start, end) if fits else None
         if mid is None:
-            segments.append(Segment(t.audio_id, start * frame_s, (end - start) * frame_s, speaker))
-        else:
-            # Right first so the left half is processed next (ordered output).
-            stack.append((mid, end))
-            stack.append((start, mid))
-    return segments
+            fits = 0
+        else:  # right first, so the left half is processed next (ordered output)
+            stack += ((mid, end, fits), (start, mid, fits))
+        if fits < reach:
+            segment = Segment(t.audio_id, start * frame_s, (end - start) * frame_s, speaker)
+            for segments in frontiers[fits:reach]:
+                segments.append(segment)
+    return frontiers
 
 
 def split_recursive(t: FrameTranscript, cfg: SegmentationConfig) -> list[Segment]:
@@ -206,7 +217,7 @@ def split_recursive(t: FrameTranscript, cfg: SegmentationConfig) -> list[Segment
     termination clause. Output segments are sorted, non-overlapping, and
     cover [0, file duration).
     """
-    return _cut(t, _split_tree(t, cfg.min_gap), cfg.max_seg_len)
+    return _frontiers(t, cfg.min_gap, [cfg.max_seg_len])[0]
 
 
 def sweep_max_seg_len(
@@ -218,9 +229,9 @@ def sweep_max_seg_len(
 ) -> dict[float, list[Segment]]:
     """Segment every transcript at each max_seg_len value in [lo, hi].
 
-    One split tree per transcript, cut once per value: the sweep costs about
-    one segmentation, and counts cannot rise as the value grows. Returns
-    {max_seg_len: segments over all transcripts, in input order}.
+    One split tree per transcript, walked once for all values: the sweep
+    costs about one segmentation, and counts cannot rise as the value grows.
+    Returns {max_seg_len: segments over all transcripts, in input order}.
     """
     if lo > hi:
         raise ValueError(f"lo must not exceed hi, got {lo} > {hi}")
@@ -233,9 +244,8 @@ def sweep_max_seg_len(
         result[value] = []
         k += 1
     for t in transcripts:
-        split = _split_tree(t, min_gap)
-        for value, segments in result.items():
-            segments.extend(_cut(t, split, value))
+        for segments, frontier in zip(result.values(), _frontiers(t, min_gap, list(result))):
+            segments.extend(frontier)
     return result
 
 

@@ -3,8 +3,7 @@
 Covers the three keep/drop rules for training pairs: source audio over the
 sample cap, target text empty once speaker prefixes and parenthesized
 events are removed, and ASR hypothesis WER above the threshold.
-``filter_pair`` decides one pair; ``filter_pairs`` applies it to a
-stream of pairs.
+``filter_pair`` decides one pair.
 """
 
 from __future__ import annotations
@@ -72,6 +71,10 @@ class FilterDecision:
     reason: str | None = None
 
 
+_KEEP = FilterDecision(True)
+_DROP = {reason: FilterDecision(False, reason) for reason in (DROP_TOO_LONG, DROP_EMPTY, DROP_WER)}
+
+
 def strip_speaker_prefix(sentence: str) -> str:
     """Remove one leading "Name:" / "DG:" style speaker marker, if present.
 
@@ -134,10 +137,17 @@ def remove_events(sentence: str, lexicon: frozenset = DEFAULT_EVENT_LEXICON) -> 
 
 
 _THOUSANDS_RE = re.compile(r"(?<!\d)(\d{1,3}(?: \d{3})+)(?!\d)")
+# every thousands group holds one; _THOUSANDS_RE's lookbehind makes re try every position
+_DIGIT_SPACE_DIGIT_RE = re.compile(r"\d \d")
 
 
 def normalize_thousands(sentence: str) -> str:
-    """Turn space-separated thousands groups into comma-separated ones."""
+    """Turn space-separated thousands groups into comma-separated ones.
+
+    Text without a digit, a space and a digit in a row is returned as it is.
+    """
+    if not _DIGIT_SPACE_DIGIT_RE.search(sentence):
+        return sentence
     return _THOUSANDS_RE.sub(lambda m: m.group(1).replace(" ", ","), sentence)
 
 
@@ -226,16 +236,10 @@ def filter_pair(pair: TranscriptPair, asr_hyp: list[str], cfg: FilterConfig) -> 
     verified against the hypothesis and is dropped under the WER reason.
     """
     if pair.n_samples > cfg.max_samples:
-        return FilterDecision(False, DROP_TOO_LONG)
+        return _DROP[DROP_TOO_LONG]
     if not clean_target(pair.tgt_text, cfg.event_lexicon).strip():
-        return FilterDecision(False, DROP_EMPTY)
+        return _DROP[DROP_EMPTY]
     ref = normalize_for_asr(pair.src_text)
     if not ref or word_error_rate(asr_hyp, ref) > cfg.wer_threshold:
-        return FilterDecision(False, DROP_WER)
-    return FilterDecision(True)
-
-
-def filter_pairs(items, cfg: FilterConfig):
-    """Yield filter_pair's decision for each (pair, asr_hyp) item, lazily and in order."""
-    for pair, asr_hyp in items:
-        yield filter_pair(pair, asr_hyp, cfg)
+        return _DROP[DROP_WER]
+    return _KEEP

@@ -1,7 +1,6 @@
 """End-to-end behavior of every subcommand through cli.main()."""
 
 import argparse
-import itertools
 import json
 import random
 
@@ -13,7 +12,7 @@ from stforge.cli import EPOCH_SEED_STRIDE, build_parser, main
 from stforge.config import config_from_dict
 from stforge.sampler import ManifestEntry, SamplingSpec, epoch_sample, read_manifest, write_manifest
 from stforge.segmenter import Segment, parse_segments_yaml, write_segments_yaml
-from stforge.textfilter import FilterConfig, TranscriptPair, clean_target, filter_pair, filter_pairs, normalize_for_asr
+from stforge.textfilter import FilterConfig, TranscriptPair, clean_target, filter_pair, normalize_for_asr
 
 
 def jsonl_line(audio, tokens, frame_ms=100):
@@ -329,20 +328,6 @@ class TestFilterAtScale:
         anna = [e.id for e in entries if e.tgt_text == "Anna: Bob:" and e.n_samples <= 20000]
         assert anna and all(f"{ident}\tempty_after_filtering\n" in want_dropped for ident in anna)
 
-        # lazy over manifest entries: an input that fails after 700 of them
-        # has yielded their 700 decisions first
-        def failing():
-            for e in entries[:700]:
-                yield e, normalize_for_asr(hyp_text[e.id])
-            raise RuntimeError("input failed")
-
-        cfg = FilterConfig(max_samples=20000)
-        decisions = filter_pairs(failing(), cfg)
-        want = [filter_pair(e, normalize_for_asr(hyp_text[e.id]), cfg) for e in entries[:700]]
-        assert list(itertools.islice(decisions, 700)) == want
-        with pytest.raises(RuntimeError, match="input failed"):
-            next(decisions)
-
     def test_missing_hypothesis_late_in_manifest_writes_nothing(self, big, tmp_path):
         _, manifest, hyps = big
         lines = hyps.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -354,6 +339,39 @@ class TestFilterAtScale:
         ])
         assert rc == 1
         assert not out.exists() and not report.exists()
+
+
+class TestManifestNumbers:
+    """Every manifest reader takes only str(int) numbers and names the file."""
+
+    ARGS = {
+        "filter": ["--asr-hyps", "{d}/hyps.tsv", "--out", "{d}/kept.tsv", "--report", "{d}/r.tsv"],
+        "sample": ["--out", "{d}/epoch.tsv"],
+        "batch": ["--out", "{d}/batches.jsonl"],
+        "augment": ["--out", "{d}/aug"],
+    }
+
+    def run(self, tmp_path, command, n_samples="16000", n_tgt_tokens="3"):
+        manifest = tmp_path / "m.tsv"
+        row = ["u0", "u0.wav", n_samples, n_tgt_tokens, "MuST-C-train", "hallo", "hello"]
+        manifest.write_text(manifest_text([]) + "\t".join(row) + "\n", encoding="utf-8")
+        (tmp_path / "hyps.tsv").write_text("u0\thallo\n", encoding="utf-8")
+        flag = "--manifest" if command in ("filter", "sample") else "--in"
+        args = [a.format(d=tmp_path) for a in self.ARGS[command]]
+        return manifest, main([command, flag, str(manifest), *args])
+
+    @pytest.mark.parametrize("value", [" 7", "7 ", "+7", "-7", "07", "00", "7_000", "\u0667", "\uff17", "\u00b2", "1e400", "7.0", ""])
+    def test_non_canonical_number_rejected(self, tmp_path, caplog, value):
+        manifest, rc = self.run(tmp_path, "filter", n_samples=value)
+        assert rc == 1
+        assert f"{manifest}: manifest line 2: n_samples must be a non-negative integer, got {value!r}" in caplog.text
+        assert not (tmp_path / "kept.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["filter", "sample", "batch", "augment"])
+    def test_every_reader_names_the_file(self, tmp_path, caplog, command):
+        manifest, rc = self.run(tmp_path, command, n_tgt_tokens="03")
+        assert rc == 1
+        assert f"{manifest}: manifest line 2: n_tgt_tokens must be a non-negative integer, got '03'" in caplog.text
 
 
 class TestAugment:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from stforge.sampler import (
     DEFAULT_RATIOS,
+    MANIFEST_COLUMNS,
+    TRAINING_SPLITS,
     BatchSpec,
     ManifestEntry,
     SamplingSpec,
@@ -46,6 +48,24 @@ class TestManifestEntry:
             entry("a", n_tgt=-1)
         with pytest.raises(ValueError, match="unknown split"):
             entry("a", split="LibriSpeech")
+        with pytest.raises(ValueError, match="n_samples"):
+            ManifestEntry(id="a", audio="a.wav", n_samples=0, n_tgt_tokens=1, split="MuST-C-train")
+
+    def test_value_semantics(self):
+        a = ManifestEntry("u1", "a.wav", 16000, 7, "MuST-C-train", "x", "y")
+        b = ManifestEntry(id="u1", audio="a.wav", n_samples=16000, n_tgt_tokens=7, split="MuST-C-train",
+                          src_text="x", tgt_text="y")
+        assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != ManifestEntry("u1", "a.wav", 16000, 7, "MuST-C-train", "x", "z")
+        assert ManifestEntry._fields == MANIFEST_COLUMNS
+        assert (a.n_samples, a.split, a.tgt_text) == (16000, "MuST-C-train", "y")
+        assert entry("u2").src_text == entry("u2").tgt_text == ""
+        with pytest.raises(AttributeError):
+            a.n_samples = 1
+        with pytest.raises(AttributeError):
+            a.note = "no per-row dict"
+        with pytest.raises(TypeError):
+            a[2] = 1
 
 
 class TestEpochSample:
@@ -209,6 +229,27 @@ class TestManifestIO:
         buf = io.StringIO()
         write_manifest(entries, buf)
         assert read_manifest(buf.getvalue()) == entries
+
+    field = st.text(st.characters(exclude_characters="\t\n\r"))  # any other code point, Unicode line breaks included
+    rows = st.lists(
+        st.builds(ManifestEntry, field, field, st.integers(1, 10**20), st.integers(0, 10**6),
+                  st.sampled_from(TRAINING_SPLITS), field, field),
+        max_size=8,
+        unique_by=lambda e: e.id,
+    )
+
+    @given(rows)
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip_any_valid_rows(self, rows):
+        buf = io.StringIO()
+        write_manifest(rows, buf)
+        assert read_manifest(buf.getvalue()) == rows
+
+    @pytest.mark.parametrize("value", ["0", "7", "10", "400000", "123456789012345678901234567890"])
+    def test_canonical_numbers_read(self, value):
+        row = ["u1", "a.wav", "1", value, "MuST-C-train", "x", "y"]
+        [e] = read_manifest("\t".join(MANIFEST_COLUMNS) + "\n" + "\t".join(row) + "\n")
+        assert e.n_tgt_tokens == int(value) and str(e.n_tgt_tokens) == value
 
     def test_header_required(self):
         with pytest.raises(ValueError, match="header"):

@@ -205,20 +205,24 @@ class TestSweep:
     @settings(max_examples=60, deadline=None)
     def test_every_cap_is_a_cut_of_one_tree(self, seed):
         rng = random.Random(seed)
-        tokens = []
-        for _ in range(rng.randint(1, 30)):
-            tokens.extend(rng.choice("abc") for _ in range(rng.randint(1, 80)))
-            # gaps from one frame to several times the 10-frame threshold
-            tokens.extend(rng.choice(["", "|"]) for _ in range(rng.choice([1, 5, 9, 10, 11, 19, 20, 35, 60])))
-        t = transcript(tokens)
-        lo, step = rng.choice([0.5, 1.0]), rng.choice([0.25, 0.5, 1.0])
-        swept = sweep_max_seg_len([t], lo, lo + 8 * step, step)
+        transcripts = []
+        for i in range(rng.randint(1, 3)):
+            tokens = []
+            for _ in range(rng.randint(1, 30)):
+                tokens.extend(rng.choice("abc") for _ in range(rng.randint(1, 80)))
+                # gaps from one frame to several times the 10-frame threshold
+                tokens.extend(rng.choice(["", "|"]) for _ in range(rng.choice([1, 5, 9, 10, 11, 19, 20, 35, 60])))
+            transcripts.append(transcript(tokens, audio_id=f"t{i}.wav"))
+        # steps under one frame give several caps the same frame limit
+        lo, step = rng.choice([0.25, 0.5, 1.0]), rng.choice([0.01, 0.05, 0.25, 0.3, 0.5, 1.0])
+        swept = sweep_max_seg_len(transcripts, lo, lo + rng.randint(0, 12) * step, step)
         counts = []
         for cap in sorted(swept, reverse=True):
-            spans = spans_of(swept[cap])
-            assert spans == segment_spans(tokens, FRAME_MS, cap, 0.2)
-            assert spans == spans_of(split_recursive(t, SegmentationConfig(cap)))
-            counts.append(len(spans))
+            assert swept[cap] == [seg for t in transcripts for seg in split_recursive(t, SegmentationConfig(cap))]
+            for t in transcripts:
+                spans = spans_of([seg for seg in swept[cap] if seg.wav == t.audio_id])
+                assert spans == segment_spans(list(t.tokens), FRAME_MS, cap, 0.2)
+            counts.append(len(swept[cap]))
         assert counts == sorted(counts)  # segment counts never fall as the cap falls
 
     def test_fractional_step(self):

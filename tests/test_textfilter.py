@@ -1,11 +1,10 @@
 """Transcript cleanup, ASR-style normalization, WER, and the keep/drop gate."""
 
-import itertools
 import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stforge import textfilter
@@ -18,7 +17,6 @@ from stforge.textfilter import (
     TranscriptPair,
     clean_target,
     filter_pair,
-    filter_pairs,
     normalize_for_asr,
     normalize_thousands,
     number_to_words,
@@ -207,6 +205,14 @@ class TestTriggerGuards:
     def test_normalize_for_asr(self, text):
         assert normalize_for_asr(text) == self.normalize_unguarded(text)
 
+    @given(texts)
+    @example("1 000 und 12 345 678, 1234 567 oder 7 7")
+    @example("\u0663 000")
+    @settings(max_examples=400, deadline=None)
+    def test_normalize_thousands(self, text):
+        unguarded = textfilter._THOUSANDS_RE.sub(lambda m: m.group(1).replace(" ", ","), text)
+        assert normalize_thousands(text) == unguarded
+
 
 class TestWordErrorRate:
     def test_reference_example(self):
@@ -310,34 +316,6 @@ class TestFilterPair:
         p = TranscriptPair("utt", 100, "25 cats!", "fünfundzwanzig Katzen")
         decision = filter_pair(p, ["twenty", "five", "cats"], self.CFG)
         assert decision.keep
-
-
-class TestFilterPairs:
-    def test_matches_filter_pair_in_order(self):
-        cfg = FilterConfig(wer_threshold=0.3)
-        rng = random.Random(3)
-        items = []
-        for i in range(2000):
-            src = " ".join(rng.choice("a b c d 7".split()) for _ in range(rng.randint(0, 8)))
-            tgt = rng.choice(["etwas"] * 5 + ["(Applaus)", "DG: (Musik)", "Anna: Bob:"])
-            hyp = [rng.choice("a b c seven".split()) for _ in range(rng.randint(0, 8))]
-            items.append((TranscriptPair(f"u{i}", rng.randint(0, 440_000), src, tgt), hyp))
-        want = [filter_pair(pair, hyp, cfg) for pair, hyp in items]
-        assert list(filter_pairs(iter(items), cfg)) == want
-
-        # lazy: an input that fails after 700 items has yielded their 700 decisions first
-        def failing():
-            yield from items[:700]
-            raise RuntimeError("input failed")
-
-        decisions = filter_pairs(failing(), cfg)
-        assert list(itertools.islice(decisions, 700)) == want[:700]
-        with pytest.raises(RuntimeError, match="input failed"):
-            next(decisions)
-        assert {d.reason for d in want} == {None, DROP_TOO_LONG, DROP_EMPTY, DROP_WER}
-
-    def test_empty_input(self):
-        assert list(filter_pairs([], FilterConfig())) == []
 
 
 class TestDefaults:
