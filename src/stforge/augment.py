@@ -15,11 +15,13 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioClip, _sinc_resample
 
 WINDOW_MS = 30.0
 SEARCH_MS = 10.0
+WSOLA_BLOCK = 32  # frames per batched transform and overlap-add; 64 measured 1.3 MB more peak RSS
 # Scores lie in +-||natural||; a tolerance on that scale, unlike one relative
 # to the best score, also ties lags whose correlation is exactly 0.
 TIE_RTOL = 1e-9
@@ -86,13 +88,16 @@ def _wsola(x: np.ndarray, rate: int, factor: float) -> np.ndarray:
 
     30 ms periodic-Hann windows at 50% synthesis overlap; each analysis
     window may slide within a +-10 ms tolerance to the lag that best
-    continues the previous output window. The score is normalized
-    cross-correlation: an FFT correlation with the natural continuation
-    over the root of each window's energy, a difference of one cumsum of
-    x^2 over the search segment. A window without energy scores exactly
-    0, so FFT round-off next to silence cannot outrank a real lag. Lags
-    within TIE_RTOL * ||natural|| of the best score tie and the earliest
-    wins, so the choice does not hang on summation order.
+    continues the previous output window. x is padded by tol zeros in front,
+    so frame k's search segment is row k of one strided view. Per block of
+    frames, the segments' FFTs, running energies (a cumsum of x^2 each) and
+    score scales (1 / root energy; 0 without energy, so FFT round-off next
+    to silence cannot outrank a real lag) take one call each. A frame's
+    normalized cross-correlation is then one FFT convolution with the
+    reversed natural continuation, over the lags from x[0] on. Lags within
+    TIE_RTOL * ||natural|| of the best score tie and the earliest wins, so
+    the choice does not hang on summation order. Each block's chosen windows
+    are overlap-added after its search.
     """
     w = _window_len(rate)
     hs = w // 2
@@ -101,35 +106,34 @@ def _wsola(x: np.ndarray, rate: int, factor: float) -> np.ndarray:
     if n <= w or ha <= 0:
         return x.copy()  # shorter than one window: within tolerance as-is
     tol = int(round(rate * SEARCH_MS / 1000.0))
-    nfft = 1 << (2 * tol + w - 1).bit_length()  # holds a whole segment: no wrap-around
+    nfft = 1 << (2 * tol + w - 1).bit_length()  # holds a whole segment: the wrap-around stays in dropped outputs
     n_frames = (n - w) // ha + 1
-    out_len = (n_frames - 1) * hs + w
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(w) / w)
-    acc = np.zeros(out_len)
-    den = np.zeros(out_len)
-    xp = np.concatenate([x, np.zeros(w + hs + tol)])
-    src = 0
-    for k in range(n_frames):
-        target = k * ha
-        if k > 0:
+    xp = np.concatenate([np.zeros(tol), x, np.zeros(w + hs + tol)])
+    segments = sliding_window_view(xp, 2 * tol + w)[::ha]  # row k starts tol before frame k's target
+    src = tol
+    starts = np.full(n_frames, tol)  # chosen window starts in xp
+    acc = np.zeros((n_frames + 1, hs))  # row j: first half of window j plus second half of window j - 1
+    for b0 in range(0, n_frames, WSOLA_BLOCK):
+        seg = segments[b0 : min(b0 + WSOLA_BLOCK, n_frames)]
+        spec = np.fft.rfft(seg, nfft)
+        csum = np.cumsum(np.pad(seg * seg, ((0, 0), (1, 0))), axis=1)
+        energy = np.maximum(csum[:, w:] - csum[:, : 2 * tol + 1], 0.0)
+        scale = np.divide(1.0, np.sqrt(energy) + 1e-12, out=np.zeros_like(energy), where=energy > 0)
+        for k in range(max(b0, 1), b0 + len(seg)):
+            skip = max(tol - k * ha, 0)  # lags before x[0]
             natural = xp[src + hs : src + hs + w]
-            lo = max(target - tol, 0)
-            seg = xp[lo : target + tol + w]
-            m = len(seg) - w + 1
-            spec = np.fft.rfft(seg, nfft) * np.fft.rfft(natural, nfft).conj()
-            corr = np.fft.irfft(spec, nfft)[:m]
-            csum = np.concatenate(([0.0], np.cumsum(seg * seg)))
-            energy = np.maximum(csum[w:] - csum[:m], 0.0)
-            score = np.where(energy > 0, corr / (np.sqrt(energy) + 1e-12), 0.0)
-            tie = TIE_RTOL * np.sqrt(natural @ natural)
-            src = lo + int(np.argmax(score >= score.max() - tie))
-        frame = xp[src : src + w]
-        acc[k * hs : k * hs + w] += frame * win
-        den[k * hs : k * hs + w] += win
+            corr = np.fft.irfft(spec[k - b0] * np.fft.rfft(natural[::-1], nfft), nfft)[w - 1 + skip : w + 2 * tol]
+            score = corr * scale[k - b0, skip:]
+            tie = TIE_RTOL * math.sqrt(natural @ natural)
+            src = starts[k] = k * ha + skip + int(np.argmax(score >= score.max() - tie))
+        chosen = sliding_window_view(xp, w)[starts[b0 : b0 + len(seg)]]
+        acc[b0 : b0 + len(seg)] += chosen[:, :hs] * win[:hs]
+        acc[b0 + 1 : b0 + 1 + len(seg)] += chosen[:, hs:] * win[hs:]
     # renormalize the window taper; keep near-zero-weight edges silent
-    safe = den > 1e-3
-    acc[safe] /= den[safe]
-    return acc
+    for rows, den in ((acc[:1], win[:hs]), (acc[1:-1], win[hs:] + win[:hs]), (acc[-1:], win[hs:])):
+        np.divide(rows, den, out=rows, where=den > 1e-3)
+    return acc.reshape(-1)
 
 
 def tempo(clip: AudioClip, factor: float) -> AudioClip:

@@ -39,13 +39,20 @@ logger = logging.getLogger("stforge.cli")
 EPOCH_SEED_STRIDE = 1_000_003  # epoch_seed = seed * stride + epoch
 
 
-def _read_text(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+def _read_text(path, parse=str):
+    """parse(text of path); an error in the text or its decoding starts with the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except UnicodeDecodeError as exc:  # read() decodes the whole file: exc.object is all of it
+        lineno = exc.object[: exc.start].count(b"\n") + 1
+        raise ValueError(f"{path}: line {lineno}: invalid UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_segment(args, cfg: config_mod.PipelineConfig) -> int:
-    transcripts = parse_frame_transcript(_read_text(args.transcripts))
+    transcripts = _read_text(args.transcripts, parse_frame_transcript)
     segments = [seg for t in transcripts for seg in split_recursive(t, cfg.segmentation)]
     with atomic_write(args.out) as fh:
         fh.write(write_segments_yaml(segments))
@@ -54,7 +61,7 @@ def cmd_segment(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_sweep(args, cfg: config_mod.PipelineConfig) -> int:
-    transcripts = parse_frame_transcript(_read_text(args.transcripts))
+    transcripts = _read_text(args.transcripts, parse_frame_transcript)
     # a sweep parameter like --lo/--hi: checked against each swept cap only
     min_gap = cfg.segmentation.min_gap if args.min_gap is None else args.min_gap
     swept = sweep_max_seg_len(transcripts, args.lo, args.hi, args.step, min_gap)
@@ -68,13 +75,6 @@ def cmd_sweep(args, cfg: config_mod.PipelineConfig) -> int:
                 fh.write(write_segments_yaml(segments))
     logger.info("swept %d max_seg_len values", len(swept))
     return 0
-
-
-def _read_manifest(path) -> list:
-    try:
-        return read_manifest(_read_text(path))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_hyps_tsv(path) -> dict:
@@ -92,7 +92,7 @@ def _read_hyps_tsv(path) -> dict:
 
 
 def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
-    entries = _read_manifest(args.manifest)
+    entries = _read_text(args.manifest, read_manifest)
     hyps = _read_hyps_tsv(args.asr_hyps)
     lexicon = cfg.filter.event_lexicon
     kept, dropped = [], []
@@ -120,7 +120,7 @@ def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
 
 def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
     if args.input.endswith(".tsv"):
-        entries = _read_manifest(args.input)
+        entries = _read_text(args.input, read_manifest)
         items = [(e.id, os.path.join(cfg.audio_root, e.audio)) for e in entries]
     else:
         stem = os.path.splitext(os.path.basename(args.input))[0]
@@ -156,7 +156,7 @@ def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_sample(args, cfg: config_mod.PipelineConfig) -> int:
-    entries = _read_manifest(args.manifest)
+    entries = _read_text(args.manifest, read_manifest)
     chosen = epoch_sample(entries, cfg.sampling, cfg.seed * EPOCH_SEED_STRIDE + args.epoch)
     with atomic_write(args.out) as fh:
         write_manifest(chosen, fh)
@@ -165,7 +165,7 @@ def cmd_sample(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_batch(args, cfg: config_mod.PipelineConfig) -> int:
-    entries = _read_manifest(args.input)
+    entries = _read_text(args.input, read_manifest)
     usable = filter_lengths(entries, cfg.batch)
     if len(usable) < len(entries):
         logger.info("dropped %d over-length entries", len(entries) - len(usable))
@@ -237,18 +237,11 @@ def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
         by_value[value] = name
     rows = []
     for value, name in sorted(by_value.items()):
-        stem = os.path.splitext(name)[0]
-        seg_path = os.path.join(args.segdir, name)
-        try:
-            segments = parse_segments_yaml(_read_text(seg_path))
-        except ValueError as exc:
-            raise ValueError(f"{seg_path}: {exc}") from None
-        trans_path = os.path.join(args.trans, stem + ".txt")
+        segments = _read_text(os.path.join(args.segdir, name), parse_segments_yaml)
+        trans_path = os.path.join(args.trans, os.path.splitext(name)[0] + ".txt")
         translations = split_lines(_read_text(trans_path))
         if len(translations) != len(segments):
-            raise ValueError(
-                f"{trans_path}: {len(translations)} translations for {len(segments)} segments"
-            )
+            raise ValueError(f"{trans_path}: {len(translations)} translations for {len(segments)} segments")
         result = score_segmentation(segments, translations, refs)
         rows.append((value, result.score))
     with atomic_write(args.out) as fh:

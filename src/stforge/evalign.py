@@ -62,6 +62,19 @@ class BleuScore:
 # makes translate about five times slower on prose.
 _PAD_13A = str.maketrans({c: f" {c} " for c in set(string.punctuation) - set("',-.")})
 
+_MARKS_RE = re.compile(r"[.,]+")
+
+
+def _split_marks(run: re.Match) -> str:
+    """13a's ([^0-9])([.,]) -> "\\1 \\2 " on one run of periods and commas, pairing left to right."""
+    marks = run.group()
+    if run.string[run.start() - 1] not in "0123456789":  # ASCII digits only; the text is space-padded
+        if len(marks) == 1:
+            return f" {marks} "
+        marks = ["", *marks]  # the first mark pairs with the character before the run
+    pairs = "".join(f"{a} {b} " for a, b in zip(marks[::2], marks[1::2]))
+    return pairs + marks[-1] if len(marks) % 2 else pairs
+
 
 def tokenize_13a(text: str) -> list[str]:
     """Tokenize like mteval-v13a: split out punctuation, keep numbers whole.
@@ -82,7 +95,7 @@ def tokenize_13a(text: str) -> list[str]:
 
     norm = f" {norm} ".translate(_PAD_13A)
     if "." in norm or "," in norm:
-        norm = re.sub(r"([^0-9])([\.,])", "\\1 \\2 ", norm)
+        norm = _MARKS_RE.sub(_split_marks, norm)
         norm = re.sub(r"([\.,])([^0-9])", " \\1 \\2", norm)
     if "-" in norm:
         norm = re.sub(r"([0-9])(-)", "\\1 \\2 ", norm)

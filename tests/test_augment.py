@@ -2,17 +2,22 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stforge import augment
 from stforge.audio import AudioClip
 from stforge.augment import (
+    SEARCH_MS,
     WINDOW_MS,
+    WSOLA_BLOCK,
     AugmentPolicy,
     EffectParams,
+    _window_len,
     _wsola,
     apply_augmentation,
     echo,
@@ -98,19 +103,66 @@ def wsola_input(kind, n, seed):
 class TestWsolaSearch:
     @given(
         st.sampled_from(["noise", "gaps", "zeros", "sine"]),
+        st.sampled_from([8000, 16000, 22050, 44100]),  # window, tolerance and FFT size all change
         st.integers(1, 20000),
         st.floats(0.5, 2.0),
         st.integers(0, 2**32 - 1),
     )
     # beside silence: frames whose correlations are all exactly 0, and all-zero windows
-    @example(kind="gaps", n=8000, factor=1.75, seed=4)
-    @example(kind="sine", n=16000, factor=1.3, seed=0)
-    @example(kind="zeros", n=4000, factor=0.5, seed=0)
-    @example(kind="noise", n=480, factor=2.0, seed=0)  # one window: passed through
-    @settings(max_examples=40, deadline=None)
-    def test_matches_candidate_matrix_reference(self, kind, n, factor, seed):
+    @example(kind="gaps", rate=RATE, n=8000, factor=1.75, seed=4)
+    @example(kind="sine", rate=RATE, n=16000, factor=1.3, seed=0)
+    @example(kind="zeros", rate=RATE, n=4000, factor=0.5, seed=0)
+    @example(kind="noise", rate=RATE, n=480, factor=2.0, seed=0)  # one window: passed through
+    @settings(max_examples=60, deadline=None)
+    def test_matches_candidate_matrix_reference(self, kind, rate, n, factor, seed):
         x = wsola_input(kind, n, seed)
-        assert np.array_equal(_wsola(x, RATE, factor), wsola_reference(x, RATE, factor))
+        assert np.array_equal(_wsola(x, rate, factor), wsola_reference(x, rate, factor))
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100])
+    @pytest.mark.parametrize("factor", [0.5, 0.55, 0.6, 0.66])
+    def test_search_that_starts_before_the_signal(self, rate, factor):
+        hs = _window_len(rate) // 2
+        lead = int(round(rate * SEARCH_MS / 1000.0)) - int(round(hs * factor))
+        assert lead > 0  # frame 1's search would start lead samples before x[0]
+        # noise repeating every hs + lead samples at 0.95 of the level before,
+        # silent for the last lead samples of each period: the window that
+        # starts lead samples before x[0], zero-filled, is the natural
+        # continuation over 0.95, ties it and, as the earliest lag, would win
+        # if it were a candidate
+        period = wsola_input("noise", hs + lead, seed=int(100 * factor))
+        period[hs:] = 0.0
+        x = np.resize(period, rate) * 0.95 ** (np.arange(rate) // (hs + lead))
+        assert np.array_equal(_wsola(x, rate, factor), wsola_reference(x, rate, factor))
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    def test_frame_counts_at_block_boundaries(self, blocks, extra):
+        # w = 480, hop 264 at factor 1.1: n_frames = (n - w) // 264 + 1
+        n_frames = blocks * WSOLA_BLOCK + extra
+        x = wsola_input("gaps", 480 + (n_frames - 1) * 264 + 100, seed=n_frames)
+        assert np.array_equal(_wsola(x, RATE, 1.1), wsola_reference(x, RATE, 1.1))
+
+    def test_block_size_does_not_change_output(self, monkeypatch):
+        x = wsola_input("gaps", 3 * WSOLA_BLOCK * 240 + 7, seed=5)
+        for factor in (0.5, 0.9, 1.3, 2.0):
+            blocked = _wsola(x, RATE, factor)
+            for block in (1, 7, 16 * len(x)):
+                with monkeypatch.context() as m:
+                    m.setattr(augment, "WSOLA_BLOCK", block)
+                    np.testing.assert_array_equal(_wsola(x, RATE, factor), blocked)
+
+    @pytest.mark.parametrize("factor, bound", [(0.5, 4.0), (1.3, 2.5)])
+    def test_memory_stays_near_input_plus_output(self, factor, bound):
+        # 60 s in, 2x or 0.77x out: the padded input, the output and per-block
+        # buffers, with no (frames x window) array
+        x = noise(seconds=60.0, seed=9).samples
+        tracemalloc.start()
+        try:
+            _wsola(x, RATE, factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * x.nbytes
 
 
 class TestPitch:

@@ -374,6 +374,45 @@ class TestManifestNumbers:
         assert f"{manifest}: manifest line 2: n_tgt_tokens must be a non-negative integer, got '03'" in caplog.text
 
 
+class TestInputErrorsNameTheFile:
+    """A bad input fails with exit 1, one ERROR line that starts with its path, and no output."""
+
+    def run(self, caplog, argv, path, out):
+        assert main(argv) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith(f"{path}: "), errors
+        assert not out.exists()
+        return errors[0]
+
+    @pytest.mark.parametrize("command", ["segment", "sweep"])
+    def test_frame_transcript_error(self, tmp_path, caplog, command):
+        path = tmp_path / "frames.jsonl"
+        path.write_text(jsonl_line("x.wav", ["a"]) + "\n" + jsonl_line("y.wav", ["a"], frame_ms=0) + "\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        message = self.run(caplog, [command, "--transcripts", str(path), "--out", str(out)], path, out)
+        assert message == f"{path}: line 2: y.wav: frame_ms must be positive, got 0"
+
+    @pytest.mark.parametrize("reader", ["transcripts", "manifest", "hyps", "ref"])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, caplog, filter_fixture, frames_file, reader):
+        manifest, hyps = filter_fixture
+        ref = tmp_path / "ref.txt"
+        ref.write_text("the cat\nsat\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv, path = {
+            "transcripts": (["segment", "--transcripts", str(frames_file), "--out", str(out)], frames_file),
+            "manifest": (["sample", "--manifest", str(manifest), "--out", str(out)], manifest),
+            "hyps": (["filter", "--manifest", str(manifest), "--asr-hyps", str(hyps), "--out", str(out),
+                      "--report", str(out)], hyps),
+            "ref": (["score", "--hyp", str(ref), "--ref", str(ref)], ref),
+        }[reader]
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+        path.write_bytes(b"\n".join(lines))
+        message = self.run(caplog, argv, path, out)
+        assert message.startswith(f"{path}: line 2: invalid UTF-8 (invalid start byte at byte ")
+
+
 class TestAugment:
     def test_single_wav_runs_deterministically(self, tmp_path):
         wav = tmp_path / "clip.wav"

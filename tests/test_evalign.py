@@ -66,6 +66,14 @@ class TestTokenize13a:
     def test_matches_four_regex_reference(self, text):
         assert tokenize_13a(text) == oracles.tokenize_13a(text)
 
+    # runs of periods and commas beside ASCII and non-ASCII digits: the
+    # period/comma rule pairs marks left to right within each run
+    @given(st.text(alphabet="0189٣१１.,- a", max_size=40))
+    @example(".,.,1,,.٣..a,. ,")
+    @settings(max_examples=400, deadline=None)
+    def test_marks_beside_digits_match_four_regex_reference(self, text):
+        assert tokenize_13a(text) == oracles.tokenize_13a(text)
+
 
 class TestResegment:
     def test_reference_example(self):
