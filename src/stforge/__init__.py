@@ -5,142 +5,44 @@ audio segmentation, transcript filtering, waveform augmentation, epoch
 sampling and batch packing, resegmentation-based BLEU scoring, and numeric
 reference implementations of the encoder-decoder coupling modules and the
 fine-tuning parameter selection.
+
+The names below are re-exported lazily (PEP 562): ``import stforge`` loads
+no submodule, and ``stforge.X`` imports the module that defines X on first
+use.
 """
 
-from stforge.audio import AudioClip, extract_segment, load_wav, normalize_zero_mean_unit_var, resample, write_wav
-from stforge.augment import AugmentPolicy, EffectParams, apply_augmentation, echo, pitch, sample_params, tempo
-from stforge.config import ConfigError, PipelineConfig, load_config, parse_config_text
-from stforge.coupling import (
-    AdapterParams,
-    LengthAdaptorParams,
-    ParamEntry,
-    ParamInventory,
-    TriStageConfig,
-    adapter_backward,
-    adapter_forward,
-    adapter_param_count,
-    average_checkpoints,
-    build_reference_inventory,
-    feature_mask,
-    group_counts,
-    label_smoothed_ce,
-    length_adaptor_forward,
-    length_adaptor_output_length,
-    lna_trainable_mask,
-    read_checkpoint,
-    tri_stage_lr,
-    write_checkpoint,
-)
-from stforge.evalign import BleuScore, corpus_bleu, resegment_mwer, score_segmentation, tokenize_13a
-from stforge.sampler import (
-    BatchSpec,
-    ManifestEntry,
-    SamplingSpec,
-    batch_stats,
-    build_batches,
-    epoch_sample,
-    filter_lengths,
-    read_manifest,
-    write_manifest,
-)
-from stforge.segmenter import (
-    FrameTranscript,
-    Gap,
-    Segment,
-    SegmentationConfig,
-    find_gaps,
-    is_transcribable,
-    parse_frame_transcript,
-    parse_segments_yaml,
-    split_recursive,
-    sweep_max_seg_len,
-    write_segments_yaml,
-)
-from stforge.textfilter import (
-    FilterConfig,
-    FilterDecision,
-    TranscriptPair,
-    clean_target,
-    filter_pair,
-    normalize_for_asr,
-    number_to_words,
-    remove_events,
-    strip_speaker_prefix,
-    word_error_rate,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdapterParams",
-    "AudioClip",
-    "AugmentPolicy",
-    "BatchSpec",
-    "BleuScore",
-    "ConfigError",
-    "EffectParams",
-    "FilterConfig",
-    "FilterDecision",
-    "FrameTranscript",
-    "Gap",
-    "LengthAdaptorParams",
-    "ManifestEntry",
-    "ParamEntry",
-    "ParamInventory",
-    "PipelineConfig",
-    "SamplingSpec",
-    "Segment",
-    "SegmentationConfig",
-    "TranscriptPair",
-    "TriStageConfig",
-    "adapter_backward",
-    "adapter_forward",
-    "adapter_param_count",
-    "apply_augmentation",
-    "average_checkpoints",
-    "batch_stats",
-    "build_batches",
-    "build_reference_inventory",
-    "clean_target",
-    "corpus_bleu",
-    "echo",
-    "epoch_sample",
-    "extract_segment",
-    "feature_mask",
-    "filter_lengths",
-    "filter_pair",
-    "find_gaps",
-    "group_counts",
-    "is_transcribable",
-    "label_smoothed_ce",
-    "length_adaptor_forward",
-    "length_adaptor_output_length",
-    "lna_trainable_mask",
-    "load_config",
-    "load_wav",
-    "normalize_for_asr",
-    "normalize_zero_mean_unit_var",
-    "number_to_words",
-    "parse_config_text",
-    "parse_frame_transcript",
-    "parse_segments_yaml",
-    "pitch",
-    "read_checkpoint",
-    "read_manifest",
-    "remove_events",
-    "resample",
-    "resegment_mwer",
-    "sample_params",
-    "score_segmentation",
-    "split_recursive",
-    "strip_speaker_prefix",
-    "sweep_max_seg_len",
-    "tempo",
-    "tokenize_13a",
-    "tri_stage_lr",
-    "word_error_rate",
-    "write_checkpoint",
-    "write_manifest",
-    "write_segments_yaml",
-    "write_wav",
-]
+_EXPORTS = {
+    "audio": ("AudioClip", "extract_segment", "load_wav", "normalize_zero_mean_unit_var", "resample",
+              "write_wav"),
+    "augment": ("AugmentPolicy", "EffectParams", "apply_augmentation", "echo", "pitch", "sample_params",
+                "tempo"),
+    "config": ("ConfigError", "PipelineConfig", "load_config", "parse_config_text"),
+    "coupling": ("AdapterParams", "LengthAdaptorParams", "ParamEntry", "ParamInventory", "TriStageConfig",
+                 "adapter_backward", "adapter_forward", "adapter_param_count", "average_checkpoints",
+                 "build_reference_inventory", "feature_mask", "group_counts", "label_smoothed_ce",
+                 "length_adaptor_forward", "length_adaptor_output_length", "lna_trainable_mask",
+                 "read_checkpoint", "tri_stage_lr", "write_checkpoint"),
+    "evalign": ("BleuScore", "corpus_bleu", "resegment_mwer", "score_segmentation", "tokenize_13a"),
+    "sampler": ("BatchSpec", "ManifestEntry", "SamplingSpec", "batch_stats", "build_batches", "epoch_sample",
+                "filter_lengths", "read_manifest", "write_manifest"),
+    "segmenter": ("FrameTranscript", "Gap", "Segment", "SegmentationConfig", "find_gaps", "is_transcribable",
+                  "parse_frame_transcript", "parse_segments_yaml", "split_recursive", "sweep_max_seg_len",
+                  "write_segments_yaml"),
+    "textfilter": ("FilterConfig", "FilterDecision", "TranscriptPair", "clean_target", "filter_pair",
+                   "normalize_for_asr", "number_to_words", "remove_events", "strip_speaker_prefix",
+                   "word_error_rate"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

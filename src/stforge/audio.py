@@ -19,6 +19,7 @@ INT16_SCALE = 32768.0  # symmetric choice: -32768 maps to exactly -1.0
 RESAMPLE_TAPS = 64
 RESAMPLE_BLOCK = 1024  # output rows per kernel block: its two (rows x 65) buffers, 520 KB each, stay in L2
 _WAVE_DTYPES = {(1, 16): "<i2", (3, 32): "<f4"}  # (format tag, bits per sample): PCM16, IEEE float32
+MAX_WAV_RATE = 2**31 - 1  # write_wav's PCM16 byte rate, 2 * rate, must fit the header's uint32
 _PCM16_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")  # RIFF, fmt (tag, channels, rate, byte rate, align, bits), data
 
 
@@ -72,7 +73,8 @@ def load_wav(path) -> AudioClip:
     format is read by its sub-format tag. Integer samples are scaled to
     [-1, 1] by dividing by 32768. Raises :class:`AudioError` naming the
     path for unreadable, truncated or malformed files, non-mono data,
-    unsupported encodings and a zero sample rate.
+    unsupported encodings, a sample rate outside 1 .. MAX_WAV_RATE and
+    NaN or infinite float samples.
     """
     path = os.fspath(path)
     if not os.path.isfile(path):
@@ -104,11 +106,13 @@ def load_wav(path) -> AudioClip:
         raise AudioError(f"{path}: non-mono ({channels} channels)")
     if (tag, bits) not in _WAVE_DTYPES:
         raise AudioError(f"{path}: unsupported encoding (format tag {tag}, {bits} bits) (need int16 or float32)")
-    if rate == 0:
-        raise AudioError(f"{path}: sample rate 0")
+    if not 0 < rate <= MAX_WAV_RATE:
+        raise AudioError(f"{path}: sample rate {rate} outside 1 .. {MAX_WAV_RATE} Hz")
     samples = np.frombuffer(data, _WAVE_DTYPES[tag, bits], count=len(data) // (bits // 8)).astype(np.float64)
     if tag == 1:
         samples /= INT16_SCALE
+    elif not np.isfinite(samples).all():  # write_wav could not write such a clip back
+        raise AudioError(f"{path}: non-finite float samples (NaN or infinity)")
     return AudioClip(samples, rate)
 
 

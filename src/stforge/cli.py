@@ -23,7 +23,7 @@ from .audio import load_wav, write_wav
 from .augment import apply_augmentation, sample_params
 from .coupling import build_reference_inventory, group_counts, lna_trainable_mask
 from .evalign import corpus_bleu, resegment_mwer, score_segmentation, tokenize_13a
-from .ioutil import atomic_write, is_plain_file_name, split_lines
+from .ioutil import atomic_write, is_plain_file_name, parse_rows, read_text, split_lines
 from .sampler import ManifestEntry, batch_stats, build_batches, epoch_sample, filter_lengths, read_manifest, write_manifest
 from .segmenter import (
     parse_frame_transcript,
@@ -39,20 +39,8 @@ logger = logging.getLogger("stforge.cli")
 EPOCH_SEED_STRIDE = 1_000_003  # epoch_seed = seed * stride + epoch
 
 
-def _read_text(path, parse=str):
-    """parse(text of path); an error in the text or its decoding starts with the path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse(fh.read())
-    except UnicodeDecodeError as exc:  # read() decodes the whole file: exc.object is all of it
-        lineno = exc.object[: exc.start].count(b"\n") + 1
-        raise ValueError(f"{path}: line {lineno}: invalid UTF-8 ({exc.reason} at byte {exc.start})") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def cmd_segment(args, cfg: config_mod.PipelineConfig) -> int:
-    transcripts = _read_text(args.transcripts, parse_frame_transcript)
+    transcripts = read_text(args.transcripts, parse_frame_transcript)
     segments = [seg for t in transcripts for seg in split_recursive(t, cfg.segmentation)]
     with atomic_write(args.out) as fh:
         fh.write(write_segments_yaml(segments))
@@ -61,7 +49,7 @@ def cmd_segment(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_sweep(args, cfg: config_mod.PipelineConfig) -> int:
-    transcripts = _read_text(args.transcripts, parse_frame_transcript)
+    transcripts = read_text(args.transcripts, parse_frame_transcript)
     # a sweep parameter like --lo/--hi: checked against each swept cap only
     min_gap = cfg.segmentation.min_gap if args.min_gap is None else args.min_gap
     swept = sweep_max_seg_len(transcripts, args.lo, args.hi, args.step, min_gap)
@@ -77,28 +65,21 @@ def cmd_sweep(args, cfg: config_mod.PipelineConfig) -> int:
     return 0
 
 
-def _read_hyps_tsv(path) -> dict:
-    hyps = {}
-    for lineno, line in enumerate(split_lines(_read_text(path)), start=1):
-        if not line:
-            continue
-        ident, sep, text = line.partition("\t")
-        if not sep:
-            raise ValueError(f"{path} line {lineno}: expected id<TAB>text")
-        if ident in hyps:
-            raise ValueError(f"{path} line {lineno}: duplicate id {ident!r}")
-        hyps[ident] = text
-    return hyps
+def _hyp_row(line: str) -> tuple:
+    ident, tab, text = line.partition("\t")
+    if not tab:
+        raise ValueError("expected id<TAB>text")
+    return ident, text
 
 
 def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
-    entries = _read_text(args.manifest, read_manifest)
-    hyps = _read_hyps_tsv(args.asr_hyps)
+    entries = read_text(args.manifest, read_manifest)
+    hyps = read_text(args.asr_hyps, lambda text: parse_rows(split_lines(text), _hyp_row))
     lexicon = cfg.filter.event_lexicon
     kept, dropped = [], []
     for e in entries:
         if e.id not in hyps:
-            raise ValueError(f"{e.id}: no ASR hypothesis in {args.asr_hyps}")
+            raise ValueError(f"{args.asr_hyps}: no ASR hypothesis for manifest id {e.id!r}")
         # text filters run first, then the length and WER gates judge the
         # filtered pair; thousands separators are a EuroparlST quirk
         fix = e.split.startswith("EuroparlST")
@@ -120,7 +101,7 @@ def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
 
 def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
     if args.input.endswith(".tsv"):
-        entries = _read_text(args.input, read_manifest)
+        entries = read_text(args.input, read_manifest)
         items = [(e.id, os.path.join(cfg.audio_root, e.audio)) for e in entries]
     else:
         stem = os.path.splitext(os.path.basename(args.input))[0]
@@ -156,7 +137,7 @@ def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_sample(args, cfg: config_mod.PipelineConfig) -> int:
-    entries = _read_text(args.manifest, read_manifest)
+    entries = read_text(args.manifest, read_manifest)
     chosen = epoch_sample(entries, cfg.sampling, cfg.seed * EPOCH_SEED_STRIDE + args.epoch)
     with atomic_write(args.out) as fh:
         write_manifest(chosen, fh)
@@ -165,7 +146,7 @@ def cmd_sample(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_batch(args, cfg: config_mod.PipelineConfig) -> int:
-    entries = _read_text(args.input, read_manifest)
+    entries = read_text(args.input, read_manifest)
     usable = filter_lengths(entries, cfg.batch)
     if len(usable) < len(entries):
         logger.info("dropped %d over-length entries", len(entries) - len(usable))
@@ -195,8 +176,8 @@ def _bleu_line(result) -> str:
 
 
 def cmd_score(args, cfg: config_mod.PipelineConfig) -> int:
-    hyp_lines = split_lines(_read_text(args.hyp))
-    ref_lines = split_lines(_read_text(args.ref))
+    hyp_lines = split_lines(read_text(args.hyp))
+    ref_lines = split_lines(read_text(args.ref))
     refs = [tokenize_13a(line) for line in ref_lines]
     if args.resegment:
         hyp_tokens = [tok for line in hyp_lines for tok in tokenize_13a(line)]
@@ -225,7 +206,7 @@ def _sweep_value(path: str) -> float:
 
 
 def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
-    refs = [tokenize_13a(line) for line in split_lines(_read_text(args.ref))]
+    refs = [tokenize_13a(line) for line in split_lines(read_text(args.ref))]
     names = sorted(n for n in os.listdir(args.segdir) if n.endswith((".yaml", ".yml")))
     if not names:
         raise ValueError(f"no segmentation YAML files in {args.segdir}")
@@ -237,9 +218,9 @@ def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
         by_value[value] = name
     rows = []
     for value, name in sorted(by_value.items()):
-        segments = _read_text(os.path.join(args.segdir, name), parse_segments_yaml)
+        segments = read_text(os.path.join(args.segdir, name), parse_segments_yaml)
         trans_path = os.path.join(args.trans, os.path.splitext(name)[0] + ".txt")
-        translations = split_lines(_read_text(trans_path))
+        translations = split_lines(read_text(trans_path))
         if len(translations) != len(segments):
             raise ValueError(f"{trans_path}: {len(translations)} translations for {len(segments)} segments")
         result = score_segmentation(segments, translations, refs)

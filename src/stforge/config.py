@@ -12,6 +12,7 @@ import tomllib
 from dataclasses import dataclass, field
 
 from .augment import AugmentPolicy
+from .ioutil import read_text
 from .sampler import BatchSpec, SamplingSpec
 from .segmenter import SegmentationConfig
 from .textfilter import FilterConfig
@@ -193,12 +194,10 @@ def load_config(path=None, environ: dict | None = None, flags: dict | None = Non
     """
     data: dict = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
         try:
-            data = parse_config_text(text)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+            data = read_text(path, parse_config_text)
+        except ValueError as exc:  # read_text has put the path first
+            raise ConfigError(str(exc)) from None
     if environ:
         apply_env_overrides(data, environ)
     for dest, value in (flags or {}).items():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write, is_plain_file_name
+from .ioutil import atomic_write, is_plain_file_name, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -453,8 +453,7 @@ def read_checkpoint(path) -> dict:
     plain file name inside the directory, and the tensor's float32 bytes
     inside that blob. A bad entry raises ValueError naming the tensor.
     """
-    with open(os.path.join(path, "index.json"), encoding="utf-8") as fh:
-        index = json.load(fh)
+    index = read_text(os.path.join(path, "index.json"), json.loads)
     if not isinstance(index, dict):
         raise ValueError(f"{path}: index.json must map tensor names to entries")
     blobs = {}

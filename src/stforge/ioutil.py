@@ -1,4 +1,9 @@
-"""Small file and line helpers shared by the pipeline commands."""
+"""File and line helpers shared by the pipeline commands.
+
+Every text input is read through :func:`read_text`, and every
+line-oriented format through :func:`parse_rows`, so an input error reads
+``path: line N: message`` whatever the format.
+"""
 
 from __future__ import annotations
 
@@ -43,6 +48,43 @@ def split_lines(text: str) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def read_text(path, parse=str):
+    """parse(text of path); an error in the text or its decoding starts with the path.
+
+    The file is read as strict UTF-8; a byte that does not decode is
+    reported as ``path: line N: invalid UTF-8 (...)``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except UnicodeDecodeError as exc:  # read() decodes the whole file: exc.object is all of it
+        lineno = exc.object[: exc.start].count(b"\n") + 1
+        raise ValueError(f"{path}: line {lineno}: invalid UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def parse_rows(lines, parse_row, start: int = 1) -> dict:
+    """{key: row} from ``parse_row(line) -> (key, row)`` on every non-empty line, in order.
+
+    Only empty lines are skipped; a line of spaces goes to parse_row. The
+    first line is numbered ``start``. A ValueError from parse_row, or a key
+    already seen on an earlier line, is raised as ``line N: message``.
+    """
+    rows, first_line = {}, {}
+    for lineno, line in enumerate(lines, start):
+        if not line:
+            continue
+        try:
+            key, row = parse_row(line)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if key in rows:
+            raise ValueError(f"line {lineno}: duplicate id {key!r} (first on line {first_line[key]})")
+        rows[key], first_line[key] = row, lineno
+    return rows
 
 
 def is_plain_file_name(name: str) -> bool:

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .ioutil import split_lines
+from .ioutil import parse_rows, split_lines
 
 TRAINING_SPLITS = (
     "MuST-C-train",
@@ -177,39 +177,30 @@ def _count(text: str, column: str) -> int:
     raise ValueError(f"{column} must be a non-negative integer, got {text!r}")
 
 
+def _manifest_row(line: str) -> tuple:
+    parts = line.split("\t")
+    if len(parts) != len(MANIFEST_COLUMNS):
+        raise ValueError(f"expected {len(MANIFEST_COLUMNS)} fields, got {len(parts)}")
+    ident, audio, n_samples, n_tgt_tokens, split, src_text, tgt_text = parts
+    return ident, ManifestEntry(ident, audio, _count(n_samples, "n_samples"),
+                                _count(n_tgt_tokens, "n_tgt_tokens"), split, src_text, tgt_text)
+
+
 def read_manifest(text: str) -> list:
     """Parse a tab-separated manifest with the standard header.
 
     Columns: id, audio, n_samples, n_tgt_tokens, split, src_text,
     tgt_text. No quoting; fields must not contain tabs or line breaks,
     and a line ends at a line feed only. Numbers are written as str(int)
-    writes them. Ids must be unique.
+    writes them. Ids must be unique. Errors read ``line N: ...``, the
+    header's and an empty text's ``line 1: ...``.
     """
     lines = split_lines(text)
     if not lines:
-        raise ValueError("empty manifest: missing header")
-    header = lines[0]
-    cols = tuple(header.split("\t"))
-    if cols != MANIFEST_COLUMNS:
-        raise ValueError(f"bad manifest header: {header!r}")
-    entries = []
-    first_line = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(MANIFEST_COLUMNS):
-            raise ValueError(f"manifest line {lineno}: expected {len(MANIFEST_COLUMNS)} fields, got {len(parts)}")
-        ident, audio, n_samples, n_tgt_tokens, split, src_text, tgt_text = parts
-        seen = first_line.setdefault(ident, lineno)
-        if seen != lineno:
-            raise ValueError(f"manifest line {lineno}: duplicate id {ident!r} (first on line {seen})")
-        try:
-            entries.append(ManifestEntry(ident, audio, _count(n_samples, "n_samples"),
-                                         _count(n_tgt_tokens, "n_tgt_tokens"), split, src_text, tgt_text))
-        except ValueError as exc:
-            raise ValueError(f"manifest line {lineno}: {exc}") from None
-    return entries
+        raise ValueError("line 1: empty manifest: missing header")
+    if tuple(lines[0].split("\t")) != MANIFEST_COLUMNS:
+        raise ValueError(f"line 1: bad manifest header: {lines[0]!r}")
+    return list(parse_rows(lines[1:], _manifest_row, start=2).values())
 
 
 def write_manifest(entries: list, stream) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .ioutil import split_lines
+from .ioutil import parse_rows, split_lines
 
 LETTER_RE = re.compile(r"[A-Za-z]")
 
@@ -85,41 +85,38 @@ class SegmentationConfig:
             )
 
 
+def _transcript_row(line: str) -> tuple:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    for field in ("audio", "frame_ms", "tokens"):
+        if field not in obj:
+            raise ValueError(f"missing field {field!r}")
+    audio, frame_ms, tokens = obj["audio"], obj["frame_ms"], obj["tokens"]
+    if not isinstance(audio, str):
+        raise ValueError(f"audio must be a string, got {audio!r}")
+    try:
+        audio.encode("utf-8")  # a \ud800 escape decodes to a lone surrogate, which no output file can hold
+    except UnicodeEncodeError:
+        raise ValueError(f"audio must be valid Unicode, got {audio!r}") from None
+    if type(frame_ms) is not int:  # bool is an int subclass; 20.9 is not truncated
+        raise ValueError(f"frame_ms must be an integer, got {frame_ms!r}")
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise ValueError("tokens must be a list of strings")
+    return audio, FrameTranscript(audio_id=audio, frame_ms=frame_ms, tokens=tokens)
+
+
 def parse_frame_transcript(stream: str) -> list[FrameTranscript]:
     """Parse JSON-lines frame transcripts.
 
     One object per audio file: {"audio": str, "frame_ms": int, "tokens": [str...]},
-    with exactly those JSON types. Audio ids must be unique.
+    with exactly those JSON types. Audio ids must be unique. Only empty
+    lines are skipped; errors read ``line N: ...``.
     """
-    out = []
-    first_line = {}
-    for lineno, line in enumerate(split_lines(stream), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: malformed JSON ({exc})") from exc
-        if not isinstance(obj, dict):
-            raise ValueError(f"line {lineno}: expected a JSON object")
-        for field in ("audio", "frame_ms", "tokens"):
-            if field not in obj:
-                raise ValueError(f"line {lineno}: missing field {field!r}")
-        audio, frame_ms, tokens = obj["audio"], obj["frame_ms"], obj["tokens"]
-        if not isinstance(audio, str):
-            raise ValueError(f"line {lineno}: audio must be a string, got {audio!r}")
-        if type(frame_ms) is not int:  # bool is an int subclass; 20.9 is not truncated
-            raise ValueError(f"line {lineno}: frame_ms must be an integer, got {frame_ms!r}")
-        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-            raise ValueError(f"line {lineno}: tokens must be a list of strings")
-        try:
-            out.append(FrameTranscript(audio_id=audio, frame_ms=frame_ms, tokens=tokens))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-        seen = first_line.setdefault(out[-1].audio_id, lineno)
-        if seen != lineno:
-            raise ValueError(f"line {lineno}: duplicate audio {out[-1].audio_id!r} (first on line {seen})")
-    return out
+    return list(parse_rows(split_lines(stream), _transcript_row).values())
 
 
 def is_transcribable(token: str) -> bool:

@@ -92,7 +92,8 @@ def riff(*chunks):
 
 def fmt(tag=1, channels=1, rate=16000, bits=16, extra=b""):
     align = channels * bits // 8
-    return b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits) + extra
+    byte_rate = rate * align % 2**32  # wraps for rates no writer could store
+    return b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, byte_rate, align, bits) + extra
 
 
 # WAVE_FORMAT_EXTENSIBLE tail: cbSize, valid bits, channel mask, then the KSDATAFORMAT_SUBTYPE_PCM GUID
@@ -147,16 +148,26 @@ class TestWavIO:
             (riff(fmt(bits=24), (b"data", PCM16[:6])), "unsupported encoding .* \\(need int16 or float32\\)"),
             (riff(fmt(), (b"data", PCM16))[:-3], "'data' chunk runs past the end of the file"),
             (riff(fmt(rate=0), (b"data", PCM16)), "sample rate 0"),
+            (riff(fmt(rate=2**31), (b"data", PCM16)), "sample rate 2147483648 outside 1 \\.\\. 2147483647 Hz"),
+            (riff(fmt(rate=3_000_000_000), (b"data", PCM16)), "sample rate 3000000000 outside"),
+            (riff(fmt(tag=3, bits=32), (b"data", struct.pack("<2f", 0.5, float("nan")))), "non-finite float samples"),
             (riff(fmt(), (b"LIST", b"INFO")), "no 'data' chunk"),
             (riff((b"data", PCM16)), "no 'fmt ' chunk"),
         ],
-        ids=["stereo", "24-bit", "truncated-data", "rate-0", "no-data", "no-fmt"],
+        ids=["stereo", "24-bit", "truncated-data", "rate-0", "rate-2^31", "rate-3e9", "float-nan", "no-data", "no-fmt"],
     )
     def test_malformed_file_names_path(self, tmp_path, body, message):
         path = tmp_path / "bad.wav"
         path.write_bytes(body)
         with pytest.raises(AudioError, match=re.escape(str(path)) + ": " + message):
             load_wav(path)
+
+    def test_largest_rate_writes_back(self, tmp_path):
+        path = tmp_path / "fast.wav"
+        path.write_bytes(riff(fmt(rate=2**31 - 1), (b"data", PCM16)))
+        buf = io.BytesIO()
+        write_wav(buf, load_wav(path))
+        assert buf.getvalue() == path.read_bytes()
 
     def test_write_accepts_file_object(self, tmp_path):
         clip = sine(seconds=0.1)

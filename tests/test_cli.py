@@ -209,7 +209,7 @@ class TestFilter:
         # e0 (WER 0.4) now falls with m1; only near-exact matches survive
         assert [e.id for e in kept] == ["m0", "m2"]
 
-    def test_missing_hypothesis_exits_1(self, filter_fixture, tmp_path):
+    def test_missing_hypothesis_exits_1(self, filter_fixture, tmp_path, caplog):
         manifest, _ = filter_fixture
         empty_hyps = tmp_path / "none.tsv"
         empty_hyps.write_text("", encoding="utf-8")
@@ -218,6 +218,7 @@ class TestFilter:
             "--out", str(tmp_path / "o.tsv"), "--report", str(tmp_path / "r.tsv"),
         ])
         assert rc == 1
+        assert f"{empty_hyps}: no ASR hypothesis for manifest id 'm0'" in caplog.text
 
     def test_duplicate_hypothesis_id_exits_1(self, filter_fixture, tmp_path, caplog):
         manifest, hyps = filter_fixture
@@ -230,7 +231,7 @@ class TestFilter:
         ])
         assert rc == 1
         assert not out.exists()
-        assert f"{hyps} line 5: duplicate id 'm1'" in caplog.text
+        assert f"{hyps}: line 5: duplicate id 'm1' (first on line 2)" in caplog.text
 
     def test_crlf_inputs_read_like_lf(self, filter_fixture, tmp_path):
         # inputs are read in universal-newline mode; only "\n" ends a line after that
@@ -364,14 +365,14 @@ class TestManifestNumbers:
     def test_non_canonical_number_rejected(self, tmp_path, caplog, value):
         manifest, rc = self.run(tmp_path, "filter", n_samples=value)
         assert rc == 1
-        assert f"{manifest}: manifest line 2: n_samples must be a non-negative integer, got {value!r}" in caplog.text
+        assert f"{manifest}: line 2: n_samples must be a non-negative integer, got {value!r}" in caplog.text
         assert not (tmp_path / "kept.tsv").exists()
 
     @pytest.mark.parametrize("command", ["filter", "sample", "batch", "augment"])
     def test_every_reader_names_the_file(self, tmp_path, caplog, command):
         manifest, rc = self.run(tmp_path, command, n_tgt_tokens="03")
         assert rc == 1
-        assert f"{manifest}: manifest line 2: n_tgt_tokens must be a non-negative integer, got '03'" in caplog.text
+        assert f"{manifest}: line 2: n_tgt_tokens must be a non-negative integer, got '03'" in caplog.text
 
 
 class TestInputErrorsNameTheFile:
@@ -393,13 +394,25 @@ class TestInputErrorsNameTheFile:
         message = self.run(caplog, [command, "--transcripts", str(path), "--out", str(out)], path, out)
         assert message == f"{path}: line 2: y.wav: frame_ms must be positive, got 0"
 
-    @pytest.mark.parametrize("reader", ["transcripts", "manifest", "hyps", "ref"])
+    @pytest.mark.parametrize("reader", ["transcripts", "manifest", "hyps", "ref", "config", "segments"])
     def test_invalid_utf8_names_file_and_line(self, tmp_path, caplog, filter_fixture, frames_file, reader):
         manifest, hyps = filter_fixture
         ref = tmp_path / "ref.txt"
         ref.write_text("the cat\nsat\n", encoding="utf-8")
+        config = tmp_path / "run.toml"
+        config.write_text("[seeds]\nseed = 3\n", encoding="utf-8")
+        segdir, trans = tmp_path / "segs", tmp_path / "trans"
+        segdir.mkdir()
+        trans.mkdir()
+        segments = segdir / "max_seg_len_5.yaml"
+        segments.write_text(write_segments_yaml([Segment("a.wav", 0.0, 1.0, "a"), Segment("a.wav", 1.0, 1.0, "a")]),
+                            encoding="utf-8")
+        (trans / "max_seg_len_5.txt").write_text("the cat\nsat\n", encoding="utf-8")
         out = tmp_path / "out"
         argv, path = {
+            "config": (["--config", str(config), "sample", "--manifest", str(manifest), "--out", str(out)], config),
+            "segments": (["sweep-score", "--segdir", str(segdir), "--trans", str(trans), "--ref", str(ref),
+                          "--out", str(out)], segments),
             "transcripts": (["segment", "--transcripts", str(frames_file), "--out", str(out)], frames_file),
             "manifest": (["sample", "--manifest", str(manifest), "--out", str(out)], manifest),
             "hyps": (["filter", "--manifest", str(manifest), "--asr-hyps", str(hyps), "--out", str(out),

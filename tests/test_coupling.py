@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -387,6 +388,13 @@ class TestCheckpoints:
         index["layer.weight"] = {k: v for k, v in index["layer.weight"].items() if v is not None}
         index_path.write_text(json.dumps(index), encoding="utf-8")
         with pytest.raises(ValueError, match=rf"layer\.weight: .*{message}"):
+            read_checkpoint(tmp_path / "c")
+
+    def test_malformed_index_names_the_file(self, tmp_path):
+        write_checkpoint(tmp_path / "c", self.tensors(6))
+        index_path = tmp_path / "c" / "index.json"
+        index_path.write_text("{'layer.weight': {}}", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(index_path))}: Expecting property name"):
             read_checkpoint(tmp_path / "c")
 
     @pytest.mark.parametrize("fname", ["absolute", "../outside.bin", "sub/tensors.bin", "..", "."])

@@ -31,3 +31,10 @@ def test_cli_import_does_not_load_scipy():
     proc = _run("-c", "import stforge.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_does_not_load_numpy():
+    # stforge re-exports lazily: the package alone imports none of its modules
+    proc = _run("-c", "import stforge, sys; print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'stforge')))")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "['stforge']"

@@ -1,0 +1,135 @@
+"""The input contract, fuzzed: a mutated input either runs or fails naming its file and line.
+
+Each test starts from a valid file, applies one to three mutations (truncate,
+flip or insert bytes, duplicate, drop or swap lines, put a special value in
+place of a field) and runs the CLI stage that reads it. The stage exits 0,
+or exits 1 with exactly one ERROR record that starts ``path: line N: ``
+(a WAV: ``path: ``) and leaves no output file behind.
+"""
+
+import json
+import os
+import re
+import struct
+import tempfile
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from stforge.cli import main
+from stforge.sampler import MANIFEST_COLUMNS
+
+FUZZ = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+SPECIAL_VALUES = (b"nan", b"inf", b"true", b"-1", b"1e400")
+INSERTED_BYTES = (b"\xff", b"\xc3", b"\x00", b"\t", b"\n", b" ", b'"', b"\\", b"{", b"0")
+FIELD = re.compile(rb'[^\t\n{}\[\],:" ]+')  # a TSV field, or a JSON scalar or key without its quotes
+
+
+@st.composite
+def mutations(draw, valid: bytes) -> bytes:
+    data = valid
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "flip", "insert", "duplicate", "drop", "swap", "special"]))
+        lines = data.split(b"\n")
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        if kind == "truncate":
+            data = data[: draw(st.integers(0, len(data)))]
+        elif kind == "flip" and data:
+            at = draw(st.integers(0, len(data) - 1))
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+        elif kind == "insert":
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.sampled_from(INSERTED_BYTES)) + data[at:]
+        elif kind == "duplicate":
+            data = b"\n".join(lines[:j] + [lines[i]] + lines[j:])
+        elif kind == "drop":
+            data = b"\n".join(lines[:i] + lines[i + 1 :])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+            data = b"\n".join(lines)
+        elif kind == "special" and (fields := list(FIELD.finditer(data))):
+            field = fields[draw(st.integers(0, len(fields) - 1))]
+            data = data[: field.start()] + draw(st.sampled_from(SPECIAL_VALUES)) + data[field.end() :]
+    return data
+
+
+def run_stage(caplog, argv, path, outputs, prefix=r"line \d+: "):
+    """main(argv) exits 0, or 1 with one ERROR record starting path: prefix and no output file."""
+    caplog.clear()
+    rc = main(argv)
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    if rc == 0:
+        assert not errors
+        return
+    assert rc == 1 and len(errors) == 1, (rc, errors)
+    assert re.match(re.escape(f"{path}: ") + prefix, errors[0]), errors[0]
+    for out in outputs:
+        assert not os.path.isfile(out) and not (os.path.isdir(out) and os.listdir(out)), out
+
+
+MANIFEST = "\n".join(
+    ["\t".join(MANIFEST_COLUMNS)]
+    + [f"u{i}\tu{i}.wav\t{16000 + 1000 * i}\t{3 + i}\t{split}\tHallo Welt {i}\tHello world {i}"
+       for i, split in enumerate(["MuST-C-train", "CoVoST-train", "CoVoST-dev", "EuroparlST-train"])]
+).encode() + b"\n"
+HYPS = b"".join(f"u{i}\thallo welt {i}\n".encode() for i in range(4))
+TRANSCRIPTS = b"".join(
+    json.dumps({"audio": f"t{i}.wav", "frame_ms": 20, "tokens": ["ja"] * 20 + [""] * 12 + ["|", "so"] * 8}).encode()
+    + b"\n"
+    for i in range(3)
+)
+
+
+def small_wav() -> bytes:
+    ints = np.round(8000 * np.sin(np.arange(480) / 3.0)).astype("<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(ints)) + ints
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@FUZZ
+@given(data=mutations(MANIFEST))
+def test_manifest_via_sample(caplog, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "m.tsv"), os.path.join(tmp, "epoch.tsv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        run_stage(caplog, ["sample", "--manifest", path, "--out", out], path, [out])
+
+
+@FUZZ
+@given(data=mutations(HYPS))
+def test_hypotheses_via_filter(caplog, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, path = os.path.join(tmp, "m.tsv"), os.path.join(tmp, "hyps.tsv")
+        outs = [os.path.join(tmp, "kept.tsv"), os.path.join(tmp, "report.tsv")]
+        for name, content in ((manifest, MANIFEST), (path, data)):
+            with open(name, "wb") as fh:
+                fh.write(content)
+        # a manifest id with no hypothesis has no line in the file that lacks it
+        run_stage(caplog, ["filter", "--manifest", manifest, "--asr-hyps", path, "--out", outs[0],
+                           "--report", outs[1]], path, outs, prefix=r"(line \d+: |no ASR hypothesis for manifest id )")
+
+
+@FUZZ
+@given(data=mutations(TRANSCRIPTS))
+def test_frame_transcripts_via_segment(caplog, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "frames.jsonl"), os.path.join(tmp, "segments.yaml")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        run_stage(caplog, ["segment", "--transcripts", path, "--max-seg-len", "0.5", "--min-gap", "0.2",
+                           "--out", out], path, [out])
+
+
+@FUZZ
+@given(data=mutations(small_wav()))
+def test_wav_via_augment(caplog, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "clip.wav"), os.path.join(tmp, "aug")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        run_stage(caplog, ["--seed", "3", "augment", "--in", path, "--p-aug", "1", "--out", out], path, [out],
+                  prefix="")

@@ -252,9 +252,9 @@ class TestManifestIO:
         assert e.n_tgt_tokens == int(value) and str(e.n_tgt_tokens) == value
 
     def test_header_required(self):
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match="^line 1: bad manifest header"):
             read_manifest("u1\ta.wav\t1\t1\tMuST-C-train\tx\ty\n")
-        with pytest.raises(ValueError, match="empty manifest"):
+        with pytest.raises(ValueError, match="^line 1: empty manifest"):
             read_manifest("")
 
     def test_errors_carry_line_numbers(self):
@@ -272,7 +272,7 @@ class TestManifestIO:
     def test_duplicate_id_rejected_with_line_numbers(self):
         buf = io.StringIO()
         write_manifest([entry("u1"), entry("u2"), entry("u1")], buf)
-        with pytest.raises(ValueError, match=r"manifest line 4: duplicate id 'u1' \(first on line 2\)"):
+        with pytest.raises(ValueError, match=r"^line 4: duplicate id 'u1' \(first on line 2\)$"):
             read_manifest(buf.getvalue())
 
     def test_tabs_in_fields_rejected_on_write(self):

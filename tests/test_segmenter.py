@@ -261,12 +261,19 @@ class TestInterchange:
         ({"audio": 7}, "audio must be a string"),
         ({"tokens": ["b", None]}, "tokens must be a list of strings"),
         ({"tokens": "b"}, "tokens must be a list of strings"),
+        ({"audio": "\ud800.wav"}, "audio must be valid Unicode"),
     ])
     def test_jsonl_fields_keep_their_types(self, fields, message):
         good = json.dumps({"audio": "a.wav", "frame_ms": 20, "tokens": ["a"]})
         bad = json.dumps({"audio": "b.wav", "frame_ms": 20, "tokens": ["b"], **fields})
         with pytest.raises(ValueError, match=f"line 2: {message}"):
             parse_frame_transcript(f"{good}\n{bad}\n")
+
+    def test_jsonl_whitespace_line_is_not_blank(self):
+        # only an empty line is skipped, as in every line-oriented input
+        good = json.dumps({"audio": "a.wav", "frame_ms": 20, "tokens": ["a"]})
+        with pytest.raises(ValueError, match=r"^line 2: malformed JSON \(Expecting value"):
+            parse_frame_transcript(f"{good}\n  \n")
 
     def test_jsonl_line_must_be_an_object(self):
         with pytest.raises(ValueError, match="line 1: expected a JSON object"):
@@ -280,7 +287,7 @@ class TestInterchange:
     def test_jsonl_rejects_duplicate_audio(self):
         line = json.dumps({"audio": "a.wav", "frame_ms": 20, "tokens": ["a"]})
         other = json.dumps({"audio": "b.wav", "frame_ms": 20, "tokens": ["b"]})
-        with pytest.raises(ValueError, match=r"line 4: duplicate audio 'a.wav' \(first on line 1\)"):
+        with pytest.raises(ValueError, match=r"^line 4: duplicate id 'a.wav' \(first on line 1\)$"):
             parse_frame_transcript(f"{line}\n{other}\n\n{line}\n")
 
     def test_yaml_roundtrip(self, monkeypatch):
