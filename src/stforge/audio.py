@@ -122,10 +122,13 @@ def write_wav(path, clip: AudioClip) -> None:
     Samples are multiplied by 32768, rounded and clipped to the int16
     range, so a clip loaded from a 16-bit file round-trips bit-exactly.
     ``path`` may be an open binary file object. Raises :class:`AudioError`,
-    naming the path when given one, if any sample is NaN or infinite.
+    naming the path when given one, if any sample is NaN or infinite or
+    the rate is above MAX_WAV_RATE.
     """
+    where = "" if hasattr(path, "write") else f"{os.fspath(path)}: "
+    if clip.sample_rate > MAX_WAV_RATE:
+        raise AudioError(f"{where}sample rate {clip.sample_rate} outside 1 .. {MAX_WAV_RATE} Hz")
     if not np.isfinite(clip.samples).all():
-        where = "" if hasattr(path, "write") else f"{os.fspath(path)}: "
         raise AudioError(f"{where}non-finite samples (NaN or infinity) cannot be written as PCM16")
     ints = np.clip(np.round(clip.samples * INT16_SCALE), -32768, 32767).astype("<i2")
     rate, size = clip.sample_rate, ints.nbytes

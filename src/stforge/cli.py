@@ -175,17 +175,24 @@ def _bleu_line(result) -> str:
     return line
 
 
+def _references(text: str) -> list[list[str]]:
+    """13a tokens of each reference line; BLEU needs a word in at least one."""
+    refs = [tokenize_13a(line) for line in split_lines(text)]
+    if not any(refs):
+        raise ValueError("line 1: no reference words")
+    return refs
+
+
 def cmd_score(args, cfg: config_mod.PipelineConfig) -> int:
     hyp_lines = split_lines(read_text(args.hyp))
-    ref_lines = split_lines(read_text(args.ref))
-    refs = [tokenize_13a(line) for line in ref_lines]
+    refs = read_text(args.ref, _references)
     if args.resegment:
         hyp_tokens = [tok for line in hyp_lines for tok in tokenize_13a(line)]
         groups = resegment_mwer(hyp_tokens, refs)
     else:
-        if len(hyp_lines) != len(ref_lines):
+        if len(hyp_lines) != len(refs):
             raise ValueError(
-                f"{len(hyp_lines)} hypothesis lines vs {len(ref_lines)} references; "
+                f"{args.hyp}: {len(hyp_lines)} hypothesis lines vs {len(refs)} references; "
                 "use --resegment for unaligned output"
             )
         groups = [tokenize_13a(line) for line in hyp_lines]
@@ -206,7 +213,7 @@ def _sweep_value(path: str) -> float:
 
 
 def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
-    refs = [tokenize_13a(line) for line in split_lines(read_text(args.ref))]
+    refs = read_text(args.ref, _references)
     names = sorted(n for n in os.listdir(args.segdir) if n.endswith((".yaml", ".yml")))
     if not names:
         raise ValueError(f"no segmentation YAML files in {args.segdir}")

@@ -26,6 +26,7 @@ import yaml
 from .ioutil import parse_rows, split_lines
 
 LETTER_RE = re.compile(r"[A-Za-z]")
+MAX_FRAME_MS = 60_000  # a minute per frame; any frame step an ASR model emits is far below it
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,8 @@ def _transcript_row(line: str) -> tuple:
         raise ValueError(f"audio must be valid Unicode, got {audio!r}") from None
     if type(frame_ms) is not int:  # bool is an int subclass; 20.9 is not truncated
         raise ValueError(f"frame_ms must be an integer, got {frame_ms!r}")
+    if frame_ms > MAX_FRAME_MS:  # a huge one would overflow float seconds when segmenting
+        raise ValueError(f"frame_ms must be at most {MAX_FRAME_MS}, got {frame_ms}")
     if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
         raise ValueError("tokens must be a list of strings")
     return audio, FrameTranscript(audio_id=audio, frame_ms=frame_ms, tokens=tokens)
@@ -246,26 +249,68 @@ def sweep_max_seg_len(
     return result
 
 
-_PLAIN_YAML = re.compile(r"^[A-Za-z0-9_./-]+$")
+_PLAIN_YAML = re.compile(r"[A-Za-z0-9_./-]+")
 _RESOLVER = yaml.resolver.Resolver()  # the implicit scalar typing of SafeLoader and CSafeLoader
+# What a double-quoted YAML scalar cannot hold as itself: \ and ", a line break
+# (a loader folds it to a space) and a non-printable character (a loader refuses
+# the file). Every character above U+FFFF is printable, so \xXX and \uXXXX suffice.
+_YAML_ESCAPE = re.compile(r'[\x00-\x08\n-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff\\"]')
+
+# write_segments_yaml's line, and the pattern that reads it back when both ids are
+# plain: %.6f of a finite non-negative time is digits, a point and six digits
+_SEGMENT_LINE = "- {duration: %.6f, offset: %.6f, speaker_id: %s, wav: %s}"
+_TIME, _PLAIN = r"([0-9]+\.[0-9]{6})", f"({_PLAIN_YAML.pattern})"
+_SEGMENT_LINE_RE = re.compile(rf"- \{{duration: {_TIME}, offset: {_TIME}, speaker_id: {_PLAIN}, wav: {_PLAIN}\}}")
 
 
 @functools.lru_cache(maxsize=4096)  # a segment list repeats a few speaker ids and wav names many times
+def _is_plain(value: str) -> bool:
+    # true when a loader reads value unquoted as this same string; it would read yes, 007 or 1.50 as bool, int, float
+    return bool(_PLAIN_YAML.fullmatch(value)) and (
+        _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == "tag:yaml.org,2002:str"
+    )
+
+
+def _yaml_escape(match: re.Match) -> str:
+    char = match.group()
+    if char in '\\"':
+        return "\\" + char
+    return f"\\x{ord(char):02X}" if ord(char) < 0x100 else f"\\u{ord(char):04X}"
+
+
+@functools.lru_cache(maxsize=4096)
 def _yaml_str(value: str) -> str:
-    # plain only when the loader reads it back as this same string; it would read yes, 007 or 1.50 as bool, int, float
-    if _PLAIN_YAML.match(value) and _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == "tag:yaml.org,2002:str":
-        return value
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return value if _is_plain(value) else '"' + _YAML_ESCAPE.sub(_yaml_escape, value) + '"'
 
 
 def write_segments_yaml(segments: list[Segment]) -> str:
     """Segment list as YAML: one flow mapping per line, 6-decimal times."""
     lines = [
-        "- {duration: %.6f, offset: %.6f, speaker_id: %s, wav: %s}"
-        % (s.duration, s.offset, _yaml_str(s.speaker_id), _yaml_str(s.wav))
+        _SEGMENT_LINE % (s.duration, s.offset, _yaml_str(s.speaker_id), _yaml_str(s.wav))
         for s in segments
     ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _read_segment_lines(text: str) -> list[Segment] | None:
+    """The segments of a text whose every line is _SEGMENT_LINE with plain ids, else None.
+
+    A loader reads such a line as the same four values: the times are YAML
+    floats that float() reads alike, and a plain id is its own text.
+    """
+    segments = []
+    for line in split_lines(text):
+        match = _SEGMENT_LINE_RE.fullmatch(line)
+        if match is None:
+            return None
+        duration, offset, speaker_id, wav = match.groups()
+        if not (_is_plain(speaker_id) and _is_plain(wav)):
+            return None
+        try:
+            segments.append(Segment(wav, float(offset), float(duration), speaker_id))
+        except ValueError:  # a zero duration, or a time too long for a float; the loader names the entry
+            return None
+    return segments
 
 
 # libyaml's loader builds the same objects several times faster
@@ -273,9 +318,18 @@ _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def parse_segments_yaml(text: str) -> list[Segment]:
-    """Inverse of :func:`write_segments_yaml`; validates every entry."""
+    """Inverse of :func:`write_segments_yaml`; validates every entry.
+
+    A text in the writer's own line form with plain ids is read line by line
+    with one pattern; any other text, and every error, goes through PyYAML.
+    """
+    segments = _read_segment_lines(text)
+    return _load_segments_yaml(text, _YAML_LOADER) if segments is None else segments
+
+
+def _load_segments_yaml(text: str, loader) -> list[Segment]:
     try:
-        raw = yaml.load(text, Loader=_YAML_LOADER)
+        raw = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ValueError(f"malformed segment YAML: {exc}") from exc
     if raw is None:
@@ -304,6 +358,6 @@ def parse_segments_yaml(text: str) -> list[Segment]:
                     speaker_id=entry["speaker_id"],
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # float() of a 400-digit YAML int overflows
             raise ValueError(f"entry {i}: {exc}") from None
     return segments

@@ -186,6 +186,16 @@ class TestWavIO:
         with pytest.raises(AudioError, match="non-finite samples"):
             write_wav(io.BytesIO(), clip)
 
+    def test_write_rejects_rate_above_header_range(self, tmp_path):
+        # 2 * rate is the header's uint32 byte rate; this used to fail as a bare struct.error
+        path = tmp_path / "fast.wav"
+        clip = AudioClip(np.zeros(4), 2**31)
+        with pytest.raises(AudioError, match=re.escape(f"{path}: sample rate 2147483648 outside 1 .. 2147483647 Hz")):
+            write_wav(path, clip)
+        assert not path.exists()
+        with pytest.raises(AudioError, match="^sample rate 2147483648 outside"):
+            write_wav(io.BytesIO(), clip)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(AudioError, match="no such file"):
             load_wav(tmp_path / "nope.wav")

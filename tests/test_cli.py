@@ -10,6 +10,7 @@ import pytest
 from stforge.audio import AudioClip, load_wav, write_wav
 from stforge.cli import EPOCH_SEED_STRIDE, build_parser, main
 from stforge.config import config_from_dict
+from stforge.ioutil import read_text
 from stforge.sampler import ManifestEntry, SamplingSpec, epoch_sample, read_manifest, write_manifest
 from stforge.segmenter import Segment, parse_segments_yaml, write_segments_yaml
 from stforge.textfilter import FilterConfig, TranscriptPair, clean_target, filter_pair, normalize_for_asr
@@ -114,6 +115,15 @@ class TestSegment:
         assert rc == 0
         segments = parse_segments_yaml(out.read_text(encoding="utf-8"))
         assert len(segments) == 4  # each file split at its silence
+
+    @pytest.mark.parametrize("audio", ["talk\u0085a.wav", "talk\u0007.wav", "talk.wav\n", "a\u2028b\r\t.wav"])
+    def test_ids_with_breaks_and_control_characters_round_trip(self, tmp_path, audio):
+        # a break used to read back as a space, a control character as an unreadable file
+        frames, out = tmp_path / "frames.jsonl", tmp_path / "segments.yaml"
+        frames.write_text(jsonl_line(audio, ["ja"] * 10) + "\n", encoding="utf-8")
+        assert main(["segment", "--transcripts", str(frames), "--out", str(out)]) == 0
+        (segment,) = read_text(out, parse_segments_yaml)
+        assert segment.wav == audio and segment.speaker_id == audio.rsplit(".", 1)[0]
 
     def test_malformed_transcript_exits_1(self, tmp_path):
         bad = tmp_path / "frames.jsonl"
@@ -393,6 +403,16 @@ class TestInputErrorsNameTheFile:
         out = tmp_path / "out"
         message = self.run(caplog, [command, "--transcripts", str(path), "--out", str(out)], path, out)
         assert message == f"{path}: line 2: y.wav: frame_ms must be positive, got 0"
+
+    @pytest.mark.parametrize("command", ["segment", "sweep"])
+    def test_frame_ms_above_bound(self, tmp_path, caplog, command):
+        # seconds = frames * frame_ms / 1000 used to overflow as a bare "int too large to convert to float"
+        path = tmp_path / "frames.jsonl"
+        path.write_text(jsonl_line("x.wav", ["a"], frame_ms=60_000) + "\n"
+                        + jsonl_line("y.wav", ["a"], frame_ms=10**400) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        message = self.run(caplog, [command, "--transcripts", str(path), "--out", str(out)], path, out)
+        assert message == f"{path}: line 2: frame_ms must be at most 60000, got {10**400}"
 
     @pytest.mark.parametrize("reader", ["transcripts", "manifest", "hyps", "ref", "config", "segments"])
     def test_invalid_utf8_names_file_and_line(self, tmp_path, caplog, filter_fixture, frames_file, reader):

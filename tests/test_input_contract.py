@@ -4,7 +4,7 @@ Each test starts from a valid file, applies one to three mutations (truncate,
 flip or insert bytes, duplicate, drop or swap lines, put a special value in
 place of a field) and runs the CLI stage that reads it. The stage exits 0,
 or exits 1 with exactly one ERROR record that starts ``path: line N: ``
-(a WAV: ``path: ``) and leaves no output file behind.
+(a WAV or a segment YAML: ``path: ``) and leaves no output file behind.
 """
 
 import json
@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from stforge.cli import main
 from stforge.sampler import MANIFEST_COLUMNS
+from stforge.segmenter import Segment, write_segments_yaml
 
 FUZZ = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-SPECIAL_VALUES = (b"nan", b"inf", b"true", b"-1", b"1e400")
+SPECIAL_VALUES = (b"nan", b"inf", b"true", b"-1", b"1e400", b"9" * 400)
 INSERTED_BYTES = (b"\xff", b"\xc3", b"\x00", b"\t", b"\n", b" ", b'"', b"\\", b"{", b"0")
 FIELD = re.compile(rb'[^\t\n{}\[\],:" ]+')  # a TSV field, or a JSON scalar or key without its quotes
 
@@ -55,8 +56,8 @@ def mutations(draw, valid: bytes) -> bytes:
     return data
 
 
-def run_stage(caplog, argv, path, outputs, prefix=r"line \d+: "):
-    """main(argv) exits 0, or 1 with one ERROR record starting path: prefix and no output file."""
+def run_stage(caplog, argv, path, outputs, prefix=r"line \d+: ", other=None):
+    """main(argv) exits 0, or 1 with one ERROR record starting path: prefix (or matching other) and no output file."""
     caplog.clear()
     rc = main(argv)
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
@@ -64,7 +65,7 @@ def run_stage(caplog, argv, path, outputs, prefix=r"line \d+: "):
         assert not errors
         return
     assert rc == 1 and len(errors) == 1, (rc, errors)
-    assert re.match(re.escape(f"{path}: ") + prefix, errors[0]), errors[0]
+    assert re.match(re.escape(f"{path}: ") + prefix, errors[0]) or (other and re.match(other, errors[0])), errors[0]
     for out in outputs:
         assert not os.path.isfile(out) and not (os.path.isdir(out) and os.listdir(out)), out
 
@@ -80,6 +81,14 @@ TRANSCRIPTS = b"".join(
     + b"\n"
     for i in range(3)
 )
+
+
+SEGMENTS = write_segments_yaml(
+    [Segment("t0.wav", 0.0, 2.5, "t0"), Segment("t0.wav", 2.5, 1.75, "t0"), Segment("t1.wav", 0.0, 3.0, "t1")]
+).encode()
+TRANSLATIONS = "das ist gut\nja , so\nnoch ein Satz .\n".encode()
+REFS = "das ist gut ja\n, so noch\nein Satz .\n".encode()
+COUNT_MISMATCH = r"\d+ translations for \d+ segments$"  # a segment list and its translations disagree
 
 
 def small_wav() -> bytes:
@@ -133,3 +142,42 @@ def test_wav_via_augment(caplog, data):
             fh.write(data)
         run_stage(caplog, ["--seed", "3", "augment", "--in", path, "--p-aug", "1", "--out", out], path, [out],
                   prefix="")
+
+
+def sweep_score_files(tmp, segments=SEGMENTS, translations=TRANSLATIONS, refs=REFS):
+    """Write sweep-score's three inputs under tmp; return their paths, its argv and its output path."""
+    segdir, trans = os.path.join(tmp, "segs"), os.path.join(tmp, "trans")
+    paths = {"segments": os.path.join(segdir, "max_seg_len_5.yaml"),
+             "translations": os.path.join(trans, "max_seg_len_5.txt"), "refs": os.path.join(tmp, "ref.txt")}
+    for path, content in zip(paths.values(), (segments, translations, refs)):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(content)
+    out = os.path.join(tmp, "curve.tsv")
+    return paths, ["sweep-score", "--segdir", segdir, "--trans", trans, "--ref", paths["refs"], "--out", out], out
+
+
+@FUZZ
+@given(data=mutations(SEGMENTS))
+def test_segment_yaml_via_sweep_score(caplog, data):
+    # a YAML error names an entry, not a line; a dropped or repeated entry shows in the translation count
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, argv, out = sweep_score_files(tmp, segments=data)
+        run_stage(caplog, argv, paths["segments"], [out], prefix="",
+                  other=re.escape(f"{paths['translations']}: ") + COUNT_MISMATCH)
+
+
+@FUZZ
+@given(data=mutations(TRANSLATIONS))
+def test_translations_via_sweep_score(caplog, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, argv, out = sweep_score_files(tmp, translations=data)
+        run_stage(caplog, argv, paths["translations"], [out], prefix=rf"(line \d+: |{COUNT_MISMATCH})")
+
+
+@FUZZ
+@given(data=mutations(REFS))
+def test_references_via_sweep_score(caplog, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, argv, out = sweep_score_files(tmp, refs=data)
+        run_stage(caplog, argv, paths["refs"], [out])

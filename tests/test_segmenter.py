@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import re
+from unittest import mock
 
 import pytest
 import yaml
@@ -352,6 +354,7 @@ class TestInterchange:
         ("duration: .nan, offset: 0.0", "duration must be finite"),
         ("duration: 1.0, offset: abc", "could not convert"),
         ("duration: null, offset: 0.0", "NoneType"),
+        ("duration: " + "9" * 400 + ", offset: 0.0", "int too large to convert to float"),
         ("duration: true, offset: 0.0", "duration must be a number, got True"),
         ("duration: 1.0, offset: false", "offset must be a number, got False"),
     ])
@@ -368,6 +371,127 @@ class TestInterchange:
         text = f"- {{duration: 1.0, offset: 0.0, speaker_id: {fields['speaker_id']}, wav: {fields['wav']}}}\n"
         with pytest.raises(ValueError, match=f"entry 0: {key} must be a string, got {shown}$"):
             parse_segments_yaml(text)
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+# ids the writer leaves plain; field values a loader types, unquotes, refuses or reads as a structure
+PLAIN_IDS = ["talk0", "test3.wav", "ted_1096.wav", "a/b.wav", "-", "-a", ".", "...", "---", "0o17", "y", "n"]
+SPECIAL_FIELDS = ["yes", "null", "~", "007", "1.50", ".inf", ".nan", "-1.000000", "+1.000000", "0.000000",
+                  "-0.000000", "1" * 400 + ".000000", "1e5", "1_0.000000", '"a.wav"', "'a.wav'", "a b", "[1]",
+                  "{a: 1}", "true", "", "&x", "*x", "!!str 5"]
+INSERTED = [" ", "\t", "\r", "#", ",", ":", "\x85", "\u2028", "\x07", '"', "'", "\n", "{", "}", "rW: 17, ", "- "]
+SEGMENT_FIELD = re.compile(r"[^\s{},:]+")  # an id, a time or a key
+
+
+def outcome(parse, text):
+    """parse(text), or the message of the ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_reads_as_pyyaml(text):
+    """parse_segments_yaml reads text as the PyYAML-only reader does with each loader, errors included."""
+    for loader in LOADERS:
+        with mock.patch.object(segmenter, "_YAML_LOADER", loader):
+            assert outcome(parse_segments_yaml, text) == outcome(
+                lambda t: segmenter._load_segments_yaml(t, loader), text
+            ), (loader, text)
+
+
+@st.composite
+def canonical_texts(draw):
+    times = st.integers(0, 10**12).map(lambda n: n / 10**6)
+    ids = st.sampled_from(PLAIN_IDS)
+    segments = draw(st.lists(st.builds(Segment, ids, times, times.filter(bool), ids), max_size=6))
+    return write_segments_yaml(segments)
+
+
+@st.composite
+def mutated_texts(draw):
+    text = draw(canonical_texts())
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["field", "insert", "drop", "duplicate", "truncate"]))
+        lines = text.split("\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = list(SEGMENT_FIELD.finditer(text))
+        if kind == "field" and fields:
+            f = fields[draw(st.integers(0, len(fields) - 1))]
+            text = text[: f.start()] + draw(st.sampled_from(SPECIAL_FIELDS)) + text[f.end():]
+        elif kind == "insert":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(INSERTED)) + text[at:]
+        elif kind == "drop":
+            text = "\n".join(lines[:i] + lines[i + 1:])
+        elif kind == "duplicate":
+            text = "\n".join(lines[: i + 1] + lines[i:])
+        elif kind == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestSegmentLineReader:
+    """The one-pattern reader of write_segments_yaml's lines against the PyYAML-only reader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=mutated_texts())
+    def test_reads_as_pyyaml(self, text):
+        assert_reads_as_pyyaml(text)
+
+    @pytest.mark.parametrize("text", [
+        "- {duration: 1.000000, offset: 0.000000, speaker_id: yes, wav: a.wav}\n",
+        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: 007}\n",
+        "- {duration: 1.000000, offset: 0.000000, speaker_id: \"s\", wav: a.wav}\n",
+        "- {duration: 3.550000, offset: 14.360000, rW: 17, uW: 0, speaker_id: spk.1, wav: ted_1.wav}\n",
+        "- duration: 1.000000\n  offset: 0.000000\n  speaker_id: s\n  wav: a.wav\n",
+        "# cut at 5 s\n- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}\n",
+        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}\n\n",
+        "- {duration: 0.000000, offset: 0.000000, speaker_id: s, wav: a.wav}\n",
+        "- {duration: 1" + "0" * 400 + ".000000, offset: 0.000000, speaker_id: s, wav: a.wav}\n",
+        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}\r\n",
+        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}",
+        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav} # x\n",
+        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}}\n",
+        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav} x\n",
+        "",
+        "\n",
+    ])
+    def test_other_forms_read_as_pyyaml(self, text):
+        assert_reads_as_pyyaml(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(canonical_texts())
+    def test_canonical_text_takes_the_line_reader(self, text):
+        segments = segmenter._read_segment_lines(text)
+        assert segments is not None
+        assert segments == segmenter._load_segments_yaml(text, segmenter._YAML_LOADER)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=4),
+        micros=st.lists(st.integers(0, 10**12), min_size=2, max_size=2),
+    )
+    def test_any_id_round_trips(self, ids, micros):
+        # a surrogate-free id is any audio id a frame transcript may hold
+        offset, duration = micros[0] / 10**6, (micros[1] + 1) / 10**6
+        segments = [Segment(wav, offset, duration, speaker) for wav, speaker in zip(ids, ids[::-1])]
+        text = write_segments_yaml(segments)
+        assert parse_segments_yaml(text) == segments
+        for loader in LOADERS:
+            assert segmenter._load_segments_yaml(text, loader) == segments
+
+    @pytest.mark.parametrize("value, written", [
+        ("talk\u0085a.wav", '"talk\\x85a.wav"'),
+        ("talk\u0007.wav", '"talk\\x07.wav"'),
+        ("a.wav\n", '"a.wav\\x0A"'),
+        ("a\u2028b\r", '"a\\u2028b\\x0D"'),
+        ("\ufffe", '"\\uFFFE"'),
+        ('q"\\ \t\u00fc', '"q\\"\\\\ \t\u00fc"'),
+    ])
+    def test_breaks_and_control_characters_are_escaped(self, value, written):
+        text = write_segments_yaml([Segment(value, 0.0, 1.0, "s")])
+        assert text == f"- {{duration: 1.000000, offset: 0.000000, speaker_id: s, wav: {written}}}\n"
 
 
 class TestConfigValidation:
