@@ -26,6 +26,14 @@ WSOLA_BLOCK = 32  # frames per batched transform and overlap-add; 64 measured 1.
 # to the best score, also ties lags whose correlation is exactly 0.
 TIE_RTOL = 1e-9
 
+# each effect parameter's limits as messages print them, and a test of one value that is false for nan
+LIMITS = {
+    "tempo_range": ("[0.5, 2]", lambda v: 0.5 <= v <= 2.0),
+    "pitch_range_cents": ("[-1200, 1200]", lambda v: -1200.0 <= v <= 1200.0),
+    "echo_delay_ms_range": ("[0, inf)", lambda v: 0.0 <= v < math.inf),
+    "echo_decay_range": ("[0, 1)", lambda v: 0.0 <= v < 1.0),
+}
+
 
 @dataclass(frozen=True)
 class AugmentPolicy:
@@ -41,16 +49,11 @@ class AugmentPolicy:
         if not 0.0 <= self.p_aug <= 1.0:
             raise ValueError(f"p_aug must be in [0, 1], got {self.p_aug}")
         # uniform() can return either end, so both ends must suit the effect
-        for name, low, high, legal in (
-            ("tempo_range", 0.5, 2.0, "[0.5, 2]"),
-            ("pitch_range_cents", -1200.0, 1200.0, "[-1200, 1200]"),
-            ("echo_delay_ms_range", 0.0, math.inf, "[0, inf)"),
-            ("echo_decay_range", 0.0, math.nextafter(1.0, 0.0), "[0, 1)"),
-        ):
+        for name, (legal, within) in LIMITS.items():
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name}: min {lo} exceeds max {hi}")
-            if not low <= lo <= hi <= high:
+            if not (within(lo) and within(hi)):
                 raise ValueError(f"{name} must lie within {legal}, got ({lo}, {hi})")
 
 
@@ -138,7 +141,7 @@ def _wsola(x: np.ndarray, rate: int, factor: float) -> np.ndarray:
 
 def tempo(clip: AudioClip, factor: float) -> AudioClip:
     """Change speed by ``factor`` (duration becomes 1/factor) at fixed pitch."""
-    if not 0.5 <= factor <= 2.0:
+    if not LIMITS["tempo_range"][1](factor):
         raise ValueError(f"tempo factor must be in [0.5, 2], got {factor}")
     if factor == 1.0:
         return clip
@@ -151,7 +154,7 @@ def pitch(clip: AudioClip, cents: float) -> AudioClip:
     Resamples by 2^(cents/1200), which scales both pitch and duration,
     then time-stretches the duration back.
     """
-    if abs(cents) > 1200:
+    if not LIMITS["pitch_range_cents"][1](cents):
         raise ValueError(f"pitch shift must be within +-1200 cents, got {cents}")
     if cents == 0:
         return clip
@@ -163,9 +166,9 @@ def pitch(clip: AudioClip, cents: float) -> AudioClip:
 
 def echo(clip: AudioClip, delay_ms: float, decay: float) -> AudioClip:
     """Mix in one delayed copy: y[n] = (x[n] + decay*x[n-D]) / (1 + decay)."""
-    if delay_ms < 0:
+    if not LIMITS["echo_delay_ms_range"][1](delay_ms):
         raise ValueError(f"delay must be >= 0 ms, got {delay_ms}")
-    if not 0.0 <= decay < 1.0:
+    if not LIMITS["echo_decay_range"][1](decay):
         raise ValueError(f"decay must be in [0, 1), got {decay}")
     d = int(round(delay_ms * clip.sample_rate / 1000.0))
     y = clip.samples.copy()

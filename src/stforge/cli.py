@@ -261,10 +261,10 @@ def cmd_params_report(args, cfg: config_mod.PipelineConfig) -> int:
     return 0
 
 
-def _config_flag(sub, name: str, key: str, kind, metavar, help_text: str) -> None:
-    """A flag whose dest is the config key it sets; a (LO, HI) metavar takes two values."""
-    nargs = 2 if isinstance(metavar, tuple) else None
-    sub.add_argument(name, dest=key, type=kind, nargs=nargs, default=None, metavar=metavar, help=help_text)
+def _config_flag(sub, name: str, key: str, metavar, help_text: str) -> None:
+    """A flag whose dest is the config key it sets, with that key's type and arity."""
+    kind = config_mod.KEYS[key][0]
+    sub.add_argument(name, dest=key, type=kind.flag_type, nargs=kind.nargs, metavar=metavar, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Corpus engineering and evaluation for end-to-end speech translation.",
     )
     parser.add_argument("--config", default=None, help="configuration file (TOML)")
-    _config_flag(parser, "--seed", "seeds.seed", int, "N", "seed controlling all randomness")
+    _config_flag(parser, "--seed", "seeds.seed", "N", "seed controlling all randomness")
     # every stage runs on one thread; the benchmark's argv still passes
     # --jobs 1, and the flag goes once it stops
     parser.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
@@ -282,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="split audio at untranscribable periods")
     p.add_argument("--transcripts", required=True, help="frame-transcript JSONL")
-    _config_flag(p, "--max-seg-len", "segmenter.max_seg_len", float, "SECONDS", "max segment seconds")
-    _config_flag(p, "--min-gap", "segmenter.min_gap", float, "SECONDS", "min splittable gap seconds")
+    _config_flag(p, "--max-seg-len", "segmenter.max_seg_len", "SECONDS", "max segment seconds")
+    _config_flag(p, "--min-gap", "segmenter.min_gap", "SECONDS", "min splittable gap seconds")
     p.add_argument("--out", required=True, help="segment YAML output")
     p.set_defaults(func=cmd_segment)
 
@@ -301,20 +301,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="keep/drop training pairs")
     p.add_argument("--manifest", required=True, help="input manifest TSV")
     p.add_argument("--asr-hyps", required=True, help="TSV of id<TAB>ASR hypothesis")
-    _config_flag(p, "--wer-threshold", "filter.wer_threshold", float, "WER", "drop pairs above this WER")
-    _config_flag(p, "--max-samples", "filter.max_samples", int, "SAMPLES", "drop longer sources")
+    _config_flag(p, "--wer-threshold", "filter.wer_threshold", "WER", "drop pairs above this WER")
+    _config_flag(p, "--max-samples", "filter.max_samples", "SAMPLES", "drop longer sources")
     p.add_argument("--out", required=True, help="kept-entries manifest TSV")
     p.add_argument("--report", required=True, help="TSV of id<TAB>drop reason")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("augment", help="tempo/pitch/echo augmentation")
     p.add_argument("--in", dest="input", required=True, help="WAV file or manifest TSV")
-    _config_flag(p, "--p-aug", "augment.p_aug", float, "P", "per-clip augmentation probability")
-    _config_flag(p, "--tempo", "augment.tempo", float, ("LO", "HI"), "tempo factor range")
-    _config_flag(p, "--pitch", "augment.pitch_cents", float, ("LO", "HI"), "pitch shift range in cents")
-    _config_flag(p, "--echo-delay", "augment.echo_delay_ms", float, ("LO", "HI"), "echo delay range in ms")
-    _config_flag(p, "--echo-decay", "augment.echo_decay", float, ("LO", "HI"), "echo decay range")
-    _config_flag(p, "--audio-root", "paths.audio_root", None, "DIR", "base dir for manifest audio paths")
+    _config_flag(p, "--p-aug", "augment.p_aug", "P", "per-clip augmentation probability")
+    _config_flag(p, "--tempo", "augment.tempo", ("LO", "HI"), "tempo factor range")
+    _config_flag(p, "--pitch", "augment.pitch_cents", ("LO", "HI"), "pitch shift range in cents")
+    _config_flag(p, "--echo-delay", "augment.echo_delay_ms", ("LO", "HI"), "echo delay range in ms")
+    _config_flag(p, "--echo-decay", "augment.echo_decay", ("LO", "HI"), "echo decay range")
+    _config_flag(p, "--audio-root", "paths.audio_root", "DIR", "base dir for manifest audio paths")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_augment)
 
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="pack entries into size-capped batches")
     p.add_argument("--in", dest="input", required=True, help="epoch manifest TSV")
-    _config_flag(p, "--max-batch", "batch.max_batch_samples", int, "SAMPLES", "summed-samples cap per batch")
+    _config_flag(p, "--max-batch", "batch.max_batch_samples", "SAMPLES", "summed-samples cap per batch")
     p.add_argument("--out", required=True, help="batches JSONL")
     p.set_defaults(func=cmd_batch)
 

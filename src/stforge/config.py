@@ -7,6 +7,8 @@ command-line flags override both.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import math
 import tomllib
 from dataclasses import dataclass, field
@@ -42,30 +44,6 @@ def _set(data: dict, section: str, key: str, value, source: str) -> None:
     if not isinstance(table, dict):
         raise ConfigError(f"{source}: {section} is not a table")
     table[key] = value
-
-
-def apply_env_overrides(data: dict, environ: dict) -> dict:
-    """Fold STFORGE_<SECTION>_<KEY> variables into the config dict.
-
-    The first underscore after the prefix splits section from key, so
-    only top-level scalar keys are addressable this way. A value is the
-    TOML value of the document ``v = <value>`` when that document holds
-    just the key ``v``, and the raw string otherwise.
-    """
-    for name, raw in sorted(environ.items()):
-        if not name.startswith(ENV_PREFIX):
-            continue
-        rest = name[len(ENV_PREFIX):]
-        section, _, key = rest.partition("_")
-        if not section or not key:
-            raise ConfigError(f"{name}: expected {ENV_PREFIX}<SECTION>_<KEY>")
-        try:
-            parsed = tomllib.loads(f"v = {raw}")
-        except tomllib.TOMLDecodeError:
-            parsed = {}
-        value = parsed["v"] if parsed.keys() == {"v"} else raw
-        _set(data, section.lower(), key.lower(), value, name)
-    return data
 
 
 @dataclass(frozen=True)
@@ -127,17 +105,58 @@ def _ratios(value, name: str) -> dict:
     return {str(k): _number(v, f"{name}.{k}") for k, v in _table(value, name).items()}
 
 
-class _Section:
-    """One table of the config dict; get() pops a key and checks its type."""
+# a key's kind: check(value, "section.key") gives the typed value or raises ConfigError;
+# a flag that sets the key parses with flag_type (None: its text as it is) and takes nargs values
+_Kind = collections.namedtuple("_Kind", "check flag_type nargs", defaults=(None, None))
 
-    def __init__(self, data: dict, name: str):
-        self.name = name
-        self.table = _table(data.pop(name, {}), name)
+_NUMBER, _INTEGER, _STRING = _Kind(_number, float), _Kind(_integer, int), _Kind(_string)
+_RANGE, _WORDS, _RATIOS = _Kind(_pair, float, 2), _Kind(_words), _Kind(_ratios)
 
-    def get(self, key: str, convert, default):
-        if key not in self.table:
-            return default
-        return convert(self.table.pop(key), f"{self.name}.{key}")
+# every config key: its kind, and the PipelineConfig field (field.sub-field) it sets
+KEYS = {
+    "segmenter.max_seg_len": (_NUMBER, "segmentation.max_seg_len"),
+    "segmenter.min_gap": (_NUMBER, "segmentation.min_gap"),
+    "filter.event_lexicon": (_WORDS, "filter.event_lexicon"),
+    "filter.wer_threshold": (_NUMBER, "filter.wer_threshold"),
+    "filter.max_samples": (_INTEGER, "filter.max_samples"),
+    "augment.p_aug": (_NUMBER, "augment_policy.p_aug"),
+    "augment.tempo": (_RANGE, "augment_policy.tempo_range"),
+    "augment.pitch_cents": (_RANGE, "augment_policy.pitch_range_cents"),
+    "augment.echo_delay_ms": (_RANGE, "augment_policy.echo_delay_ms_range"),
+    "augment.echo_decay": (_RANGE, "augment_policy.echo_decay_range"),
+    "sampler.ratios": (_RATIOS, "sampling.ratios"),
+    "batch.max_batch_samples": (_INTEGER, "batch.max_batch_samples"),
+    "batch.max_src_samples": (_INTEGER, "batch.max_src_samples"),
+    "batch.max_tgt_tokens": (_INTEGER, "batch.max_tgt_tokens"),
+    "paths.audio_root": (_STRING, "audio_root"),
+    "seeds.seed": (_INTEGER, "seed"),
+}
+
+
+def apply_env_overrides(data: dict, environ: dict) -> dict:
+    """Fold STFORGE_<SECTION>_<KEY> variables into the config dict.
+
+    The first underscore after the prefix splits section from key, so
+    only top-level scalar keys are addressable this way. A string key's
+    value is the variable's text as it is. Any other value is the TOML
+    value of the document ``v = <value>`` when that document holds just
+    the key ``v``, and the raw string otherwise.
+    """
+    for name, raw in sorted(environ.items()):
+        if not name.startswith(ENV_PREFIX):
+            continue
+        section, _, key = name[len(ENV_PREFIX):].lower().partition("_")
+        if not section or not key:
+            raise ConfigError(f"{name}: expected {ENV_PREFIX}<SECTION>_<KEY>")
+        value = raw
+        if KEYS.get(f"{section}.{key}", (None,))[0] is not _STRING:
+            try:
+                parsed = tomllib.loads(f"v = {raw}")
+            except tomllib.TOMLDecodeError:
+                parsed = {}
+            value = parsed["v"] if parsed.keys() == {"v"} else raw
+        _set(data, section, key, value, name)
+    return data
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -146,41 +165,22 @@ def config_from_dict(data: dict) -> PipelineConfig:
     Unknown sections or keys are errors: a typo must not silently fall
     back to a default. So is a value of the wrong type, named by its key.
     """
-    data = dict(data)
-    d = PipelineConfig()
-    seg, flt, aug, smp, bat, paths, seeds = sections = [
-        _Section(data, name) for name in ("segmenter", "filter", "augment", "sampler", "batch", "paths", "seeds")
-    ]
+    sections = dict.fromkeys(name.partition(".")[0] for name in KEYS)
+    tables = {section: _table(data[section], section) for section in sections if section in data}
+    changes: dict = {}  # PipelineConfig field ("" for PipelineConfig itself) -> {its field: value}
+    for name, (kind, target) in KEYS.items():
+        section, _, key = name.partition(".")
+        if key in tables.get(section, {}):
+            owner, _, attr = target.rpartition(".")
+            changes.setdefault(owner, {})[attr] = kind.check(tables[section].pop(key), name)
+    defaults = PipelineConfig()
+    fields = changes.pop("", {})
+    for owner, values in changes.items():
+        fields[owner] = dataclasses.replace(getattr(defaults, owner), **values)
+    config = dataclasses.replace(defaults, **fields)
 
-    config = PipelineConfig(
-        segmentation=SegmentationConfig(
-            max_seg_len=seg.get("max_seg_len", _number, d.segmentation.max_seg_len),
-            min_gap=seg.get("min_gap", _number, d.segmentation.min_gap),
-        ),
-        filter=FilterConfig(
-            event_lexicon=flt.get("event_lexicon", _words, d.filter.event_lexicon),
-            wer_threshold=flt.get("wer_threshold", _number, d.filter.wer_threshold),
-            max_samples=flt.get("max_samples", _integer, d.filter.max_samples),
-        ),
-        augment_policy=AugmentPolicy(
-            p_aug=aug.get("p_aug", _number, d.augment_policy.p_aug),
-            tempo_range=aug.get("tempo", _pair, d.augment_policy.tempo_range),
-            pitch_range_cents=aug.get("pitch_cents", _pair, d.augment_policy.pitch_range_cents),
-            echo_delay_ms_range=aug.get("echo_delay_ms", _pair, d.augment_policy.echo_delay_ms_range),
-            echo_decay_range=aug.get("echo_decay", _pair, d.augment_policy.echo_decay_range),
-        ),
-        sampling=SamplingSpec(smp.get("ratios", _ratios, d.sampling.ratios)),
-        batch=BatchSpec(
-            max_batch_samples=bat.get("max_batch_samples", _integer, d.batch.max_batch_samples),
-            max_src_samples=bat.get("max_src_samples", _integer, d.batch.max_src_samples),
-            max_tgt_tokens=bat.get("max_tgt_tokens", _integer, d.batch.max_tgt_tokens),
-        ),
-        audio_root=paths.get("audio_root", _string, d.audio_root),
-        seed=seeds.get("seed", _integer, d.seed),
-    )
-
-    leftovers = [f"{section.name}.{k}" for section in sections for k in section.table]
-    leftovers.extend(str(k) for k in data)
+    leftovers = [f"{section}.{k}" for section, table in tables.items() for k in table]
+    leftovers.extend(str(k) for k in data if k not in tables)
     if leftovers:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(leftovers))}")
     return config

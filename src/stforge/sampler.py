@@ -14,14 +14,6 @@ from dataclasses import dataclass, field
 
 from .ioutil import parse_rows, split_lines
 
-TRAINING_SPLITS = (
-    "MuST-C-train",
-    "EuroparlST-train",
-    "EuroparlST-dev",
-    "CoVoST-train",
-    "CoVoST-dev",
-)
-
 DEFAULT_RATIOS = {
     "MuST-C-train": 1.0,
     "EuroparlST-train": 1.0,
@@ -29,6 +21,7 @@ DEFAULT_RATIOS = {
     "CoVoST-train": 0.3,
     "CoVoST-dev": 0.3,
 }
+TRAINING_SPLITS = tuple(DEFAULT_RATIOS)
 
 MANIFEST_COLUMNS = ("id", "audio", "n_samples", "n_tgt_tokens", "split", "src_text", "tgt_text")
 

@@ -38,8 +38,10 @@ class FrameTranscript:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
-        if self.frame_ms <= 0:
+        if not self.frame_ms > 0:
             raise ValueError(f"{self.audio_id}: frame_ms must be positive, got {self.frame_ms}")
+        if self.frame_ms > MAX_FRAME_MS:  # a huge one would overflow float seconds when segmenting
+            raise ValueError(f"{self.audio_id}: frame_ms must be at most {MAX_FRAME_MS}, got {self.frame_ms}")
         if not self.tokens:
             raise ValueError(f"{self.audio_id}: empty transcript")
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -105,8 +107,6 @@ def _transcript_row(line: str) -> tuple:
         raise ValueError(f"audio must be valid Unicode, got {audio!r}") from None
     if type(frame_ms) is not int:  # bool is an int subclass; 20.9 is not truncated
         raise ValueError(f"frame_ms must be an integer, got {frame_ms!r}")
-    if frame_ms > MAX_FRAME_MS:  # a huge one would overflow float seconds when segmenting
-        raise ValueError(f"frame_ms must be at most {MAX_FRAME_MS}, got {frame_ms}")
     if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
         raise ValueError("tokens must be a list of strings")
     return audio, FrameTranscript(audio_id=audio, frame_ms=frame_ms, tokens=tokens)
@@ -151,7 +151,7 @@ def _gap_runs(t: FrameTranscript) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _split_tree(t: FrameTranscript, min_gap: float):
-    """Memoized ``split(start, end)``: the frame to split [start, end) at, or None.
+    """``split(start, end)``: the frame to split [start, end) at, or None.
 
     Gap runs are clipped to the span, so a child holds half of the gap its
     parent split as a run of its own. The longest clipped run of at least
@@ -161,7 +161,6 @@ def _split_tree(t: FrameTranscript, min_gap: float):
     starts, ends = _gap_runs(t)
     threshold = _min_gap_frames(min_gap, t.frame_ms)
 
-    @functools.cache
     def split(start: int, end: int):
         lo = np.searchsorted(ends, start, side="right")
         hi = np.searchsorted(starts, end)
@@ -324,12 +323,12 @@ def parse_segments_yaml(text: str) -> list[Segment]:
     with one pattern; any other text, and every error, goes through PyYAML.
     """
     segments = _read_segment_lines(text)
-    return _load_segments_yaml(text, _YAML_LOADER) if segments is None else segments
+    return _load_segments_yaml(text) if segments is None else segments
 
 
-def _load_segments_yaml(text: str, loader) -> list[Segment]:
+def _load_segments_yaml(text: str) -> list[Segment]:
     try:
-        raw = yaml.load(text, Loader=loader)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ValueError(f"malformed segment YAML: {exc}") from exc
     if raw is None:

@@ -196,6 +196,11 @@ class TestPitch:
         with pytest.raises(ValueError):
             pitch(sine(), -1201.0)
 
+    def test_nan_cents_rejected(self):
+        # used to fail as "cannot convert float NaN to integer" in the resampler
+        with pytest.raises(ValueError, match="^pitch shift must be within [+]-1200 cents, got nan$"):
+            pitch(sine(), math.nan)
+
 
 class TestEcho:
     def test_impulse_response(self):
@@ -226,6 +231,12 @@ class TestEcho:
         clip = noise(seconds=0.1, seed=6)  # 1600 samples, delay 3200
         out = echo(clip, 200.0, 0.2)
         np.testing.assert_allclose(out.samples, clip.samples / 1.2)
+
+    @pytest.mark.parametrize("delay_ms", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, delay_ms):
+        # nan failed converting to a sample count, inf overflowed it
+        with pytest.raises(ValueError, match=f"^delay must be >= 0 ms, got {delay_ms}$"):
+            echo(noise(seconds=0.1), delay_ms, 0.1)
 
     def test_linearity_in_input(self):
         clip = noise(seconds=0.2, seed=7)
@@ -266,6 +277,7 @@ class TestPolicy:
             ("echo_decay_range", (0.1, 1.0)),  # uniform() can return the high end
             ("echo_decay_range", (-0.1, 0.2)),
             ("tempo_range", (math.nan, 1.0)),
+            ("echo_delay_ms_range", (0.0, math.inf)),  # its message says [0, inf); an inf delay overflowed
         ],
     )
     def test_range_outside_effect_limits_rejected(self, field, bad):

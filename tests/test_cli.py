@@ -412,7 +412,7 @@ class TestInputErrorsNameTheFile:
                         + jsonl_line("y.wav", ["a"], frame_ms=10**400) + "\n", encoding="utf-8")
         out = tmp_path / "out"
         message = self.run(caplog, [command, "--transcripts", str(path), "--out", str(out)], path, out)
-        assert message == f"{path}: line 2: frame_ms must be at most 60000, got {10**400}"
+        assert message == f"{path}: line 2: y.wav: frame_ms must be at most 60000, got {10**400}"
 
     @pytest.mark.parametrize("reader", ["transcripts", "manifest", "hyps", "ref", "config", "segments"])
     def test_invalid_utf8_names_file_and_line(self, tmp_path, caplog, filter_fixture, frames_file, reader):

@@ -1,12 +1,15 @@
 """Config file parsing, environment overrides, and typed defaults."""
 
+import argparse
 import math
 import pathlib
 import re
 
 import pytest
 
+from stforge.cli import build_parser
 from stforge.config import (
+    KEYS,
     ConfigError,
     PipelineConfig,
     apply_env_overrides,
@@ -126,6 +129,11 @@ class TestEnvOverrides:
     def test_unparseable_value_stays_string(self):
         data = apply_env_overrides({}, {"STFORGE_PATHS_AUDIO_ROOT": "/data/wavs"})
         assert data["paths"]["audio_root"] == "/data/wavs"
+
+    @pytest.mark.parametrize("text", ["2024", "true", "1e3", "2024-01-01", '"wavs"'])
+    def test_string_key_takes_the_text_as_it_is(self, text):
+        # read as TOML, these were an int, a bool, a float, a date and a string without its quotes
+        assert load_config(None, {"STFORGE_PATHS_AUDIO_ROOT": text}).audio_root == text
 
     def test_malformed_name_rejected(self):
         with pytest.raises(ConfigError):
@@ -305,6 +313,65 @@ class TestWrongValueTypes:
     def test_output_dir_is_gone(self):
         with pytest.raises(ConfigError, match="unknown config keys: paths.output_dir"):
             config_from_dict({"paths": {"output_dir": "out"}})
+
+
+# a value other than the default for every key, as TOML text
+KEY_SAMPLES = {
+    "segmenter.max_seg_len": "12.5",
+    "segmenter.min_gap": "0.5",
+    "filter.event_lexicon": '["Lachen", "Husten"]',
+    "filter.wer_threshold": "0.3",
+    "filter.max_samples": "300000",
+    "augment.p_aug": "0.5",
+    "augment.tempo": "[0.9, 1.1]",
+    "augment.pitch_cents": "[-100, 200]",
+    "augment.echo_delay_ms": "[10, 50]",
+    "augment.echo_decay": "[0.1, 0.3]",
+    "sampler.ratios": "{ MuST-C-train = 0.5 }",
+    "batch.max_batch_samples": "500000",
+    "batch.max_src_samples": "300000",
+    "batch.max_tgt_tokens": "2048",
+    "paths.audio_root": '"2024"',
+    "seeds.seed": "7",
+}
+# the arguments each subcommand with a config flag requires
+REQUIRED_ARGS = {
+    "segment": ["--transcripts", "t", "--out", "o"],
+    "filter": ["--manifest", "m", "--asr-hyps", "h", "--out", "o", "--report", "r"],
+    "augment": ["--in", "i", "--out", "o"],
+    "batch": ["--in", "i", "--out", "o"],
+}
+
+
+def _config_flag_argv():
+    """{config key: argv before and after its flag's values} for every flag whose dest is a config key."""
+    parser = build_parser()
+    argv = {a.dest: ([a.option_strings[-1]], ["params-report"]) for a in parser._actions if "." in a.dest}
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command, sub in commands.items():
+        for a in sub._actions:
+            if "." in a.dest:
+                argv[a.dest] = ([command, *REQUIRED_ARGS[command], a.option_strings[-1]], [])
+    return argv
+
+
+def test_every_key_reads_alike_from_file_env_and_flag(tmp_path):
+    assert KEY_SAMPLES.keys() == KEYS.keys()
+    flag_argv = _config_flag_argv()
+    assert len(flag_argv) == 12 and flag_argv.keys() <= KEYS.keys()
+    for name, text in KEY_SAMPLES.items():
+        section, key = name.split(".")
+        value = parse_config_text(f"v = {text}")["v"]
+        by_file = _from_file(tmp_path, f"[{section}]\n{key} = {text}\n")
+        assert by_file != PipelineConfig(), name
+        env_text = value if isinstance(value, str) else text
+        assert load_config(None, {f"STFORGE_{section}_{key}".upper(): env_text}) == by_file, name
+        if name in flag_argv:
+            before, after = flag_argv[name]
+            values = value if isinstance(value, list) else [value]
+            args = build_parser().parse_args(before + [str(v) for v in values] + after)
+            flags = {dest: v for dest, v in vars(args).items() if "." in dest and v is not None}
+            assert load_config(None, None, flags) == by_file, name
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

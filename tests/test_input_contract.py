@@ -4,7 +4,8 @@ Each test starts from a valid file, applies one to three mutations (truncate,
 flip or insert bytes, duplicate, drop or swap lines, put a special value in
 place of a field) and runs the CLI stage that reads it. The stage exits 0,
 or exits 1 with exactly one ERROR record that starts ``path: line N: ``
-(a WAV or a segment YAML: ``path: ``) and leaves no output file behind.
+(a WAV, a segment YAML or an error about a whole file: ``path: ``) and
+leaves no output file behind.
 """
 
 import json
@@ -14,6 +15,7 @@ import struct
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -181,3 +183,17 @@ def test_references_via_sweep_score(caplog, data):
     with tempfile.TemporaryDirectory() as tmp:
         paths, argv, out = sweep_score_files(tmp, refs=data)
         run_stage(caplog, argv, paths["refs"], [out])
+
+
+@FUZZ
+@pytest.mark.parametrize("resegment", [False, True])
+@given(data=mutations(TRANSLATIONS))
+def test_hypotheses_via_score(caplog, resegment, data):
+    # without --resegment, a line count other than the references' is an error about the whole file
+    with tempfile.TemporaryDirectory() as tmp:
+        path, ref = os.path.join(tmp, "hyp.txt"), os.path.join(tmp, "ref.txt")
+        for name, content in ((path, data), (ref, REFS)):
+            with open(name, "wb") as fh:
+                fh.write(content)
+        run_stage(caplog, ["score", "--hyp", path, "--ref", ref] + ["--resegment"] * resegment, path, [],
+                  prefix=r"(line \d+: |\d+ hypothesis lines vs \d+ references; )")

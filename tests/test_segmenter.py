@@ -395,9 +395,7 @@ def assert_reads_as_pyyaml(text):
     """parse_segments_yaml reads text as the PyYAML-only reader does with each loader, errors included."""
     for loader in LOADERS:
         with mock.patch.object(segmenter, "_YAML_LOADER", loader):
-            assert outcome(parse_segments_yaml, text) == outcome(
-                lambda t: segmenter._load_segments_yaml(t, loader), text
-            ), (loader, text)
+            assert outcome(parse_segments_yaml, text) == outcome(segmenter._load_segments_yaml, text), (loader, text)
 
 
 @st.composite
@@ -465,7 +463,7 @@ class TestSegmentLineReader:
     def test_canonical_text_takes_the_line_reader(self, text):
         segments = segmenter._read_segment_lines(text)
         assert segments is not None
-        assert segments == segmenter._load_segments_yaml(text, segmenter._YAML_LOADER)
+        assert segments == segmenter._load_segments_yaml(text)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -479,7 +477,8 @@ class TestSegmentLineReader:
         text = write_segments_yaml(segments)
         assert parse_segments_yaml(text) == segments
         for loader in LOADERS:
-            assert segmenter._load_segments_yaml(text, loader) == segments
+            with mock.patch.object(segmenter, "_YAML_LOADER", loader):
+                assert segmenter._load_segments_yaml(text) == segments
 
     @pytest.mark.parametrize("value, written", [
         ("talk\u0085a.wav", '"talk\\x85a.wav"'),
@@ -495,6 +494,14 @@ class TestSegmentLineReader:
 
 
 class TestConfigValidation:
+    def test_frame_ms_bound_holds_for_the_library(self):
+        # seconds = frames * frame_ms / 1000 would overflow as a bare OverflowError in the split walk
+        with pytest.raises(ValueError, match=r"^a.wav: frame_ms must be at most 60000, got 1000+$"):
+            split_recursive(FrameTranscript("a.wav", 10**400, ("a",)), SegmentationConfig())
+        with pytest.raises(ValueError, match="^a.wav: frame_ms must be positive, got nan$"):
+            FrameTranscript("a.wav", math.nan, ("a",))
+        assert FrameTranscript("a.wav", 60_000, ("a",)).duration == 60.0
+
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             SegmentationConfig(max_seg_len=0.1, min_gap=0.2)
