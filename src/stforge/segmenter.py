@@ -21,12 +21,12 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .ioutil import parse_rows, split_lines
 
 LETTER_RE = re.compile(r"[A-Za-z]")
 MAX_FRAME_MS = 60_000  # a minute per frame; any frame step an ASR model emits is far below it
+MAX_SWEEP_STEPS = 10_000  # steps of one sweep's grid loop; 5-25 s by 1 s, the paper's sweep, takes 21
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,9 @@ class SegmentationConfig:
     min_gap: float = 0.2
 
     def __post_init__(self):
-        if not self.max_seg_len > self.min_gap > 0:
+        if not math.inf > self.max_seg_len > self.min_gap > 0:  # also rejects nan
             raise ValueError(
-                f"need max_seg_len > min_gap > 0, got {self.max_seg_len}, {self.min_gap}"
+                f"need finite max_seg_len > min_gap > 0, got {self.max_seg_len}, {self.min_gap}"
             )
 
 
@@ -135,8 +135,8 @@ def _min_gap_frames(min_gap: float, frame_ms: int) -> int:
 
 def find_gaps(t: FrameTranscript, min_gap: float) -> list[Gap]:
     """All maximal untranscribable runs lasting at least ``min_gap`` seconds."""
-    if min_gap <= 0:
-        raise ValueError(f"min_gap must be positive, got {min_gap}")
+    if not 0 < min_gap < math.inf:  # also rejects nan
+        raise ValueError(f"min_gap must be positive and finite, got {min_gap}")
     threshold = _min_gap_frames(min_gap, t.frame_ms)
     starts, ends = _gap_runs(t)
     return [Gap(int(s), int(e - s)) for s, e in zip(starts, ends) if e - s >= threshold]
@@ -232,10 +232,13 @@ def sweep_max_seg_len(
     costs about one segmentation, and counts cannot rise as the value grows.
     Returns {max_seg_len: segments over all transcripts, in input order}.
     """
-    if lo > hi:
-        raise ValueError(f"lo must not exceed hi, got {lo} > {hi}")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not -math.inf < lo <= hi < math.inf:  # also rejects nan
+        raise ValueError(f"need finite lo <= hi, got {lo}, {hi}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    # the loop below takes k up to (hi - lo + 1.5e-9) / step, the last k whose rounded value is <= hi + 1e-9
+    if not (hi - lo + 2e-9) / step < MAX_SWEEP_STEPS:
+        raise ValueError(f"a grid from {lo} to {hi} by {step} takes over {MAX_SWEEP_STEPS} steps")
     result: dict[float, list[Segment]] = {}
     k = 0
     while (value := round(lo + k * step, 9)) <= hi + 1e-9:
@@ -249,25 +252,39 @@ def sweep_max_seg_len(
 
 
 _PLAIN_YAML = re.compile(r"[A-Za-z0-9_./-]+")
-_RESOLVER = yaml.resolver.Resolver()  # the implicit scalar typing of SafeLoader and CSafeLoader
+# YAML 1.1's implicit scalar types as far as _PLAIN_YAML's alphabet can spell
+# them: no sign +, no sexagesimal or time-of-day :, no ~, << or =. A loader reads a
+# plain scalar that matches as a non-string: yes, null, 007, 0x1F, 1_000, 1.50, .inf
+_YAML_TYPED = re.compile(
+    r"(?P<bool>yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF)"
+    r"|(?P<null>null|Null|NULL)"
+    r"|(?P<int>-?(?:0b[01_]+|0[0-7_]+|0|[1-9][0-9_]*|0x[0-9a-fA-F_]+))"
+    r"|(?P<float>-?[0-9][0-9_]*\.[0-9_]*(?:[eE]-[0-9]+)?|\.[0-9][0-9_]*(?:[eE]-[0-9]+)?"
+    r"|-?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))"
+    r"|(?P<timestamp>[0-9]{4}-[0-9]{2}-[0-9]{2})"
+)
 # What a double-quoted YAML scalar cannot hold as itself: \ and ", a line break
 # (a loader folds it to a space) and a non-printable character (a loader refuses
 # the file). Every character above U+FFFF is printable, so \xXX and \uXXXX suffice.
-_YAML_ESCAPE = re.compile(r'[\x00-\x08\n-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff\\"]')
+_ESCAPED = r'\x00-\x08\n-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff\\"'
+_YAML_ESCAPE = re.compile(f"[{_ESCAPED}]")
+_ESCAPE_CODE = r'\\(?:x[0-9A-Fa-f]{2}|u[0-9A-Fa-f]{4}|[\\"])'  # the writer's escapes, the only ones read
+_YAML_UNESCAPE = re.compile(_ESCAPE_CODE)
 
-# write_segments_yaml's line, and the pattern that reads it back when both ids are
-# plain: %.6f of a finite non-negative time is digits, a point and six digits
+# The line dialect: write_segments_yaml's line, and each line parse_segments_yaml reads.
+# A time is an unsigned decimal that YAML reads as the number float() reads: an
+# integer has no leading zero, since YAML reads 010 as octal 8 and 08 as a string.
 _SEGMENT_LINE = "- {duration: %.6f, offset: %.6f, speaker_id: %s, wav: %s}"
-_TIME, _PLAIN = r"([0-9]+\.[0-9]{6})", f"({_PLAIN_YAML.pattern})"
-_SEGMENT_LINE_RE = re.compile(rf"- \{{duration: {_TIME}, offset: {_TIME}, speaker_id: {_PLAIN}, wav: {_PLAIN}\}}")
-
-
-@functools.lru_cache(maxsize=4096)  # a segment list repeats a few speaker ids and wav names many times
-def _is_plain(value: str) -> bool:
-    # true when a loader reads value unquoted as this same string; it would read yes, 007 or 1.50 as bool, int, float
-    return bool(_PLAIN_YAML.fullmatch(value)) and (
-        _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == "tag:yaml.org,2002:str"
-    )
+_SEGMENT_KEYS = ("duration", "offset", "speaker_id", "wav")  # groups 1-4 of _LINE_RE
+_TIME = r"[0-9]+\.[0-9]*|0|[1-9][0-9]*"
+_VALUE = rf'{_PLAIN_YAML.pattern}|"(?:[^{_ESCAPED}]|{_ESCAPE_CODE})*"'
+_KEY = r"[A-Za-z_][A-Za-z0-9_]*"
+_KEY_VALUE = rf"({_KEY}): ({_VALUE})"
+_MAPPING_RE = re.compile(rf"- \{{{_KEY_VALUE}(?:, {_KEY_VALUE})*\}}")
+# A segment key's group is set once its item is read; (?(n)(?!)) then fails a repeat of that key.
+_ITEM = "|".join([rf"{key}: (?({n})(?!))(?P<{key}>{_TIME if n <= 2 else _VALUE})"
+                  for n, key in enumerate(_SEGMENT_KEYS, 1)] + [rf"(?!(?:{'|'.join(_SEGMENT_KEYS)}):){_KEY}: (?:{_VALUE})"])
+_LINE_RE = re.compile(rf"- \{{(?:(?:{_ITEM})(?:, (?!\}})|(?=\}})))+\}}")
 
 
 def _yaml_escape(match: re.Match) -> str:
@@ -277,9 +294,12 @@ def _yaml_escape(match: re.Match) -> str:
     return f"\\x{ord(char):02X}" if ord(char) < 0x100 else f"\\u{ord(char):04X}"
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=4096)  # a segment list repeats a few speaker ids and wav names many times
 def _yaml_str(value: str) -> str:
-    return value if _is_plain(value) else '"' + _YAML_ESCAPE.sub(_yaml_escape, value) + '"'
+    # plain when a loader reads value unquoted as this same string
+    if _PLAIN_YAML.fullmatch(value) and not _YAML_TYPED.fullmatch(value):
+        return value
+    return '"' + _YAML_ESCAPE.sub(_yaml_escape, value) + '"'
 
 
 def write_segments_yaml(segments: list[Segment]) -> str:
@@ -291,72 +311,51 @@ def write_segments_yaml(segments: list[Segment]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _read_segment_lines(text: str) -> list[Segment] | None:
-    """The segments of a text whose every line is _SEGMENT_LINE with plain ids, else None.
-
-    A loader reads such a line as the same four values: the times are YAML
-    floats that float() reads alike, and a plain id is its own text.
-    """
-    segments = []
-    for line in split_lines(text):
-        match = _SEGMENT_LINE_RE.fullmatch(line)
-        if match is None:
-            return None
-        duration, offset, speaker_id, wav = match.groups()
-        if not (_is_plain(speaker_id) and _is_plain(wav)):
-            return None
-        try:
-            segments.append(Segment(wav, float(offset), float(duration), speaker_id))
-        except ValueError:  # a zero duration, or a time too long for a float; the loader names the entry
-            return None
-    return segments
+def _yaml_unescape(match: re.Match) -> str:
+    code = match.group()[1:]
+    return code if len(code) == 1 else chr(int(code[1:], 16))
 
 
-# libyaml's loader builds the same objects several times faster
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+@functools.lru_cache(maxsize=4096)
+def _read_id(key: str, value: str) -> str:
+    if value[0] == '"':
+        return _YAML_UNESCAPE.sub(_yaml_unescape, value[1:-1])
+    if typed := _YAML_TYPED.fullmatch(value):
+        raise ValueError(f"{key} must be a string, got {value} (a YAML {typed.lastgroup}; quote it)")
+    return value
+
+
+def _refusal(line: str) -> str:
+    """Why _LINE_RE refuses a line: not a flow mapping, a repeated segment key or a time that is no decimal."""
+    if not _MAPPING_RE.fullmatch(line):
+        return f"expected a flow mapping - {{key: value, ...}}, got {line[:80]!r}"
+    items = re.findall(_KEY_VALUE, line)
+    keys = [key for key, _ in items]
+    reasons = [f"duplicate key {key!r}" for key in _SEGMENT_KEYS if keys.count(key) > 1]
+    reasons += [f"{key} must be an unsigned decimal, got {value}" for key, value in items
+                if key in ("duration", "offset") and not re.fullmatch(_TIME, value)]
+    return reasons[0]
+
+
+def _segment_row(line: str) -> tuple:
+    match = _LINE_RE.fullmatch(line)
+    if match is None:
+        raise ValueError(_refusal(line))
+    duration, offset, speaker_id, wav = fields = match.groups()
+    if None in fields:
+        raise ValueError(f"missing keys {[key for key, value in zip(_SEGMENT_KEYS, fields) if value is None]}")
+    wav, offset = _read_id("wav", wav), float(offset)  # a time too long for a float is inf, which Segment refuses
+    return (wav, offset), Segment(wav, offset, float(duration), _read_id("speaker_id", speaker_id))
 
 
 def parse_segments_yaml(text: str) -> list[Segment]:
-    """Inverse of :func:`write_segments_yaml`; validates every entry.
+    """Inverse of :func:`write_segments_yaml`: the segments of a text in the line dialect.
 
-    A text in the writer's own line form with plain ids is read line by line
-    with one pattern; any other text, and every error, goes through PyYAML.
+    Every non-empty line is ``- {key: value, ...}``, the four keys of a Segment
+    in any order and other keys (MuST-C's ``rW``, ``uW``) ignored. A value is a
+    plain ``[A-Za-z0-9_./-]+`` scalar or a double-quoted one with the writer's
+    escapes. Any other YAML, a missing or repeated segment key, a plain id that
+    YAML 1.1 types as a non-string and a second segment at the same (wav, offset)
+    raise ``line N: ...``.
     """
-    segments = _read_segment_lines(text)
-    return _load_segments_yaml(text) if segments is None else segments
-
-
-def _load_segments_yaml(text: str) -> list[Segment]:
-    try:
-        raw = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ValueError(f"malformed segment YAML: {exc}") from exc
-    if raw is None:
-        return []
-    if not isinstance(raw, list):
-        raise ValueError("segment YAML must be a list of mappings")
-    segments = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValueError(f"entry {i}: not a mapping")
-        missing = {"duration", "offset", "speaker_id", "wav"} - entry.keys()
-        if missing:
-            raise ValueError(f"entry {i}: missing keys {sorted(missing)}")
-        for key in ("wav", "speaker_id"):
-            if not isinstance(entry[key], str):  # YAML reads unquoted null, yes or 5 as non-strings
-                raise ValueError(f"entry {i}: {key} must be a string, got {entry[key]!r}")
-        for key in ("offset", "duration"):
-            if isinstance(entry[key], bool):  # float(True) would be a 1 s time
-                raise ValueError(f"entry {i}: {key} must be a number, got {entry[key]!r}")
-        try:
-            segments.append(
-                Segment(
-                    wav=entry["wav"],
-                    offset=float(entry["offset"]),
-                    duration=float(entry["duration"]),
-                    speaker_id=entry["speaker_id"],
-                )
-            )
-        except (TypeError, ValueError, OverflowError) as exc:  # float() of a 400-digit YAML int overflows
-            raise ValueError(f"entry {i}: {exc}") from None
-    return segments
+    return list(parse_rows(split_lines(text), _segment_row).values())

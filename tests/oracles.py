@@ -322,3 +322,43 @@ def remove_events(sentence, lexicon, speaker_prefix):
     if deleted_at_start:
         text = speaker_prefix.sub("", text, count=1)
     return text
+
+
+def segments_yaml(text, loader):
+    """The segments PyYAML reads from a segment YAML with ``loader``, entry by entry.
+
+    Any YAML the loader takes is read, block style and comments included; an
+    entry must be a mapping with string ids and non-bool numeric (or numeric
+    string) times. Errors read ``entry N: ...``. PyYAML and stforge are
+    imported here so that loading this module needs neither.
+    """
+    import yaml
+
+    from stforge.segmenter import Segment
+
+    try:
+        raw = yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"malformed segment YAML: {exc}") from exc
+    if raw is None:
+        return []
+    if not isinstance(raw, list):
+        raise ValueError("segment YAML must be a list of mappings")
+    segments = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValueError(f"entry {i}: not a mapping")
+        missing = {"duration", "offset", "speaker_id", "wav"} - entry.keys()
+        if missing:
+            raise ValueError(f"entry {i}: missing keys {sorted(missing)}")
+        for key in ("wav", "speaker_id"):
+            if not isinstance(entry[key], str):
+                raise ValueError(f"entry {i}: {key} must be a string, got {entry[key]!r}")
+        for key in ("offset", "duration"):
+            if isinstance(entry[key], bool):
+                raise ValueError(f"entry {i}: {key} must be a number, got {entry[key]!r}")
+        try:
+            segments.append(Segment(entry["wav"], float(entry["offset"]), float(entry["duration"]), entry["speaker_id"]))
+        except (TypeError, ValueError, OverflowError) as exc:  # float() of a 400-digit YAML int overflows
+            raise ValueError(f"entry {i}: {exc}") from None
+    return segments

@@ -177,6 +177,17 @@ class TestSweep:
         assert rc == 0
         assert out.read_text(encoding="utf-8") == "30\t2\n31\t2\n32\t2\n"
 
+    @pytest.mark.parametrize("flag, value, shown", [("--hi", "inf", "5.0, inf"), ("--lo", "nan", "nan, 25.0"),
+                                                    ("--hi", "nan", "5.0, nan")])
+    def test_non_finite_bound_exits_1(self, frames_file, tmp_path, caplog, flag, value, shown):
+        # --hi inf never ended; a nan bound wrote an empty counts file and exited 0
+        out = tmp_path / "sweep.tsv"
+        rc = main(["sweep", "--transcripts", str(frames_file), "--lo", "5", "--hi", "25", flag, value,
+                   "--out", str(out)])  # the later flag wins
+        assert rc == 1
+        assert f"need finite lo <= hi, got {shown}" in caplog.text
+        assert not out.exists()
+
 
 class TestFilter:
     def test_keeps_drops_and_reports(self, filter_fixture, tmp_path):
@@ -760,7 +771,7 @@ class TestSweepScore:
             "--ref", str(tmp_path / "ref.txt"), "--out", str(tmp_path / "o.tsv"),
         ])
         assert rc == 1
-        assert f"{path}: entry 1: offset must be finite" in caplog.text
+        assert f"{path}: line 2: offset must be an unsigned decimal, got .nan\n" in caplog.text
 
     def test_empty_segdir_exits_1(self, tmp_path):
         (tmp_path / "segs").mkdir()

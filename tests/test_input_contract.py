@@ -4,7 +4,7 @@ Each test starts from a valid file, applies one to three mutations (truncate,
 flip or insert bytes, duplicate, drop or swap lines, put a special value in
 place of a field) and runs the CLI stage that reads it. The stage exits 0,
 or exits 1 with exactly one ERROR record that starts ``path: line N: ``
-(a WAV, a segment YAML or an error about a whole file: ``path: ``) and
+(a WAV or an error about a whole file: ``path: ``) and
 leaves no output file behind.
 """
 
@@ -162,10 +162,10 @@ def sweep_score_files(tmp, segments=SEGMENTS, translations=TRANSLATIONS, refs=RE
 @FUZZ
 @given(data=mutations(SEGMENTS))
 def test_segment_yaml_via_sweep_score(caplog, data):
-    # a YAML error names an entry, not a line; a dropped or repeated entry shows in the translation count
+    # a dropped line shows in the translation count, an error about the translations file
     with tempfile.TemporaryDirectory() as tmp:
         paths, argv, out = sweep_score_files(tmp, segments=data)
-        run_stage(caplog, argv, paths["segments"], [out], prefix="",
+        run_stage(caplog, argv, paths["segments"], [out],
                   other=re.escape(f"{paths['translations']}: ") + COUNT_MISMATCH)
 
 

@@ -4,7 +4,6 @@ import json
 import math
 import random
 import re
-from unittest import mock
 
 import pytest
 import yaml
@@ -26,9 +25,10 @@ from stforge.segmenter import (
     write_segments_yaml,
 )
 
-from oracles import segment_spans
+from oracles import segment_spans, segments_yaml
 
 FRAME_MS = 20  # ASR emits one token per 20 ms frame
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])  # the oracle's loaders
 
 
 def transcript(tokens, frame_ms=FRAME_MS, audio_id="talk.wav"):
@@ -86,6 +86,12 @@ class TestFindGaps:
     def test_min_gap_must_be_positive(self):
         with pytest.raises(ValueError):
             find_gaps(transcript(["a"]), 0.0)
+
+    @pytest.mark.parametrize("min_gap", [math.nan, math.inf])
+    def test_min_gap_must_be_finite(self, min_gap):
+        # nan and inf used to fail in math.ceil with a bare "cannot convert float ... to integer"
+        with pytest.raises(ValueError, match=f"^min_gap must be positive and finite, got {min_gap}$"):
+            find_gaps(transcript(["a"]), min_gap)
 
 
 class TestSplitRecursive:
@@ -239,6 +245,25 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_max_seg_len([t], 5, 10, 0)
 
+    @pytest.mark.parametrize("lo, hi, step, message", [
+        (5, math.inf, 1, "need finite lo <= hi, got 5, inf"),
+        (math.nan, 25, 1, "need finite lo <= hi, got nan, 25"),
+        (5, math.nan, 1, "need finite lo <= hi, got 5, nan"),
+        (10, 5, 1, "need finite lo <= hi, got 10, 5"),
+        (5, 25, math.nan, "step must be positive and finite, got nan"),
+        (5, 25, math.inf, "step must be positive and finite, got inf"),
+        (5, 25, 1e-3, "a grid from 5 to 25 by 0.001 takes over 10000 steps"),
+        (5, 5, 1e-15, "a grid from 5 to 5 by 1e-15 takes over 10000 steps"),
+    ])
+    def test_grid_is_bounded_before_the_loop(self, lo, hi, step, message):
+        # inf never ended; a nan bound, or an inf step (0 * inf is nan), gave an empty grid
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep_max_seg_len([transcript(["a"] * 10)], lo, hi, step)
+
+    def test_largest_grid_runs(self):
+        swept = sweep_max_seg_len([transcript(["a"] * 10)], 1, 1.9999, 1e-4)
+        assert len(swept) == segmenter.MAX_SWEEP_STEPS and min(swept) == 1 and max(swept) == 1.9999
+
 
 class TestInterchange:
     def test_jsonl_parsing(self):
@@ -292,7 +317,7 @@ class TestInterchange:
         with pytest.raises(ValueError, match=r"^line 4: duplicate id 'a.wav' \(first on line 1\)$"):
             parse_frame_transcript(f"{line}\n{other}\n\n{line}\n")
 
-    def test_yaml_roundtrip(self, monkeypatch):
+    def test_yaml_roundtrip(self):
         segs = [
             Segment("ted_1096.wav", 0.0, 21.4, "ted_1096"),
             Segment("ted_1096.wav", 21.4, 3.25, "ted_1096"),
@@ -301,9 +326,7 @@ class TestInterchange:
         # plain YAML 1.1 would read these back as bool, None, int or float
         segs += [Segment(v, 0.0, 1.0, v) for v in ["yes", "null", "007", "0x1F", "1_000", "1.50", "Off", ".inf"]]
         text = write_segments_yaml(segs)
-        for loader in (yaml.SafeLoader, segmenter._YAML_LOADER):
-            monkeypatch.setattr(segmenter, "_YAML_LOADER", loader)
-            back = parse_segments_yaml(text)
+        for back in [parse_segments_yaml(text)] + [segments_yaml(text, loader) for loader in LOADERS]:
             assert len(back) == len(segs)
             for orig, parsed in zip(segs, back):
                 assert parsed.wav == orig.wav
@@ -315,8 +338,8 @@ class TestInterchange:
         text = write_segments_yaml([Segment("test3.wav", 0.0, 1.0, "talk0")])
         assert text == "- {duration: 1.000000, offset: 0.000000, speaker_id: talk0, wav: test3.wav}\n"
 
-    def test_yaml_loader_matches_pure_python_safe_loader(self, monkeypatch):
-        # the libyaml loader, when present, must build the same segments
+    def test_yaml_loader_matches_pure_python_safe_loader(self):
+        # the line reader builds the segments PyYAML builds, with libyaml's loader when present too
         segs = [
             Segment("ted_1096.wav", 0.0, 21.4, "ted_1096"),
             Segment("weird name.wav", 1.5, 2.0, 'quote"d'),
@@ -325,26 +348,41 @@ class TestInterchange:
             Segment("b.wav", 5.0, 1.0, "yes"),
         ]
         text = write_segments_yaml(segs)
-        fast = parse_segments_yaml(text)
-        monkeypatch.setattr(segmenter, "_YAML_LOADER", yaml.SafeLoader)
-        assert fast == parse_segments_yaml(text)
-        assert [s.speaker_id for s in fast[:3]] == ["ted_1096", 'quote"d', "back\\slash: ünï"]
+        ours = parse_segments_yaml(text)
+        for loader in LOADERS:
+            assert segments_yaml(text, loader) == ours
+        assert [s.speaker_id for s in ours[:3]] == ["ted_1096", 'quote"d', "back\\slash: ünï"]
 
-    @pytest.mark.parametrize("loader", [yaml.SafeLoader, segmenter._YAML_LOADER])
-    def test_malformed_yaml_raises_value_error(self, monkeypatch, loader):
-        monkeypatch.setattr(segmenter, "_YAML_LOADER", loader)
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_malformed_yaml_raises_value_error(self, loader):
+        # what PyYAML cannot parse is outside the line dialect too
+        text = "- {duration: 1.0, offset: [0.0\n"
         with pytest.raises(ValueError, match="malformed segment YAML"):
-            parse_segments_yaml("- {duration: 1.0, offset: [0.0\n")
+            segments_yaml(text, loader)
+        with pytest.raises(ValueError, match=r"^line 1: expected a flow mapping - \{key: value, ...\}, got "):
+            parse_segments_yaml(text)
 
     def test_yaml_empty(self):
         assert write_segments_yaml([]) == ""
         assert parse_segments_yaml("") == []
 
     def test_yaml_rejects_bad_entries(self):
-        with pytest.raises(ValueError, match="missing keys"):
+        with pytest.raises(ValueError, match=r"^line 1: missing keys \['speaker_id'\]$"):
             parse_segments_yaml("- {offset: 0.0, duration: 1.0, wav: a.wav}")
-        with pytest.raises(ValueError, match="list"):
+        with pytest.raises(ValueError, match="^line 1: expected a flow mapping"):
             parse_segments_yaml("offset: 3")
+        with pytest.raises(ValueError, match="^line 1: duplicate key 'wav'$"):
+            parse_segments_yaml("- {duration: 1.0, offset: 0.0, wav: a.wav, speaker_id: s, wav: b.wav}")
+
+    def test_yaml_keys_in_any_order_and_extra_keys_ignored(self):
+        text = "- {wav: ted_1.wav, uW: 0, speaker_id: spk.1, offset: 14.36, rW: 17, duration: 3.55}\n"
+        assert parse_segments_yaml(text) == [Segment("ted_1.wav", 14.36, 3.55, "spk.1")]
+
+    def test_yaml_repeated_segment_names_both_lines(self):
+        line = "- {duration: 1.0, offset: 2.0, speaker_id: s, wav: a.wav}\n"
+        other = "- {duration: 1.0, offset: 3.0, speaker_id: s, wav: a.wav}\n"
+        with pytest.raises(ValueError, match=r"^line 3: duplicate id \('a.wav', 2.0\) \(first on line 1\)$"):
+            parse_segments_yaml(line + other + line.replace("duration: 1.0", "duration: 5"))
 
     @pytest.mark.parametrize("times, message", [
         ("duration: 1.0, offset: .nan", "offset must be finite and non-negative, got nan"),
@@ -359,9 +397,15 @@ class TestInterchange:
         ("duration: 1.0, offset: false", "offset must be a number, got False"),
     ])
     def test_yaml_errors_name_the_entry(self, times, message):
+        # PyYAML's reading refuses the entry for message; the line reader refuses its line
         good = "- {duration: 1.0, offset: 0.0, speaker_id: s, wav: a.wav}\n"
-        with pytest.raises(ValueError, match=f"entry 1: .*{message}"):
-            parse_segments_yaml(f"{good}- {{{times}, speaker_id: s, wav: a.wav}}\n")
+        text = f"{good}- {{{times}, speaker_id: s, wav: a.wav}}\n"
+        for loader in LOADERS:
+            with pytest.raises(ValueError, match=f"entry 1: .*{message}"):
+                segments_yaml(text, loader)
+        key = next(k for k, v in (f.split(": ") for f in times.split(", ")) if v not in ("1.0", "0.0"))
+        with pytest.raises(ValueError, match=f"^line 2: {key} must be (an unsigned decimal|finite)"):
+            parse_segments_yaml(text)
 
     @pytest.mark.parametrize("key", ["speaker_id", "wav"])
     @pytest.mark.parametrize("value, shown", [("true", "True"), ("null", "None"), ("5", "5"), ("1.5", "1.5")])
@@ -369,18 +413,35 @@ class TestInterchange:
         # unquoted, YAML reads these as bool, None, int and float; "None" or "5" would be a made-up id
         fields = {"speaker_id": "s", "wav": "a.wav", key: value}
         text = f"- {{duration: 1.0, offset: 0.0, speaker_id: {fields['speaker_id']}, wav: {fields['wav']}}}\n"
-        with pytest.raises(ValueError, match=f"entry 0: {key} must be a string, got {shown}$"):
+        for loader in LOADERS:
+            with pytest.raises(ValueError, match=f"^entry 0: {key} must be a string, got {re.escape(shown)}$"):
+                segments_yaml(text, loader)
+        with pytest.raises(ValueError, match=rf"^line 1: {key} must be a string, got {re.escape(value)} \(a YAML "):
             parse_segments_yaml(text)
 
 
-LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 # ids the writer leaves plain; field values a loader types, unquotes, refuses or reads as a structure
 PLAIN_IDS = ["talk0", "test3.wav", "ted_1096.wav", "a/b.wav", "-", "-a", ".", "...", "---", "0o17", "y", "n"]
 SPECIAL_FIELDS = ["yes", "null", "~", "007", "1.50", ".inf", ".nan", "-1.000000", "+1.000000", "0.000000",
                   "-0.000000", "1" * 400 + ".000000", "1e5", "1_0.000000", '"a.wav"', "'a.wav'", "a b", "[1]",
-                  "{a: 1}", "true", "", "&x", "*x", "!!str 5"]
-INSERTED = [" ", "\t", "\r", "#", ",", ":", "\x85", "\u2028", "\x07", '"', "'", "\n", "{", "}", "rW: 17, ", "- "]
+                  "{a: 1}", "true", "", "&x", "*x", "!!str 5", "010", "08", "1.", "12"]
+INSERTED = [" ", "\t", "\r", "#", ",", ":", "\x85", "\u2028", "\x07", '"', "'", "\n", "{", "}", "rW: 17, ", "- ", "\\"]
 SEGMENT_FIELD = re.compile(r"[^\s{},:]+")  # an id, a time or a key
+
+
+# pieces of YAML 1.1's typed forms within the plain alphabet, so generated ids hit them
+ID_PIECES = ["0", "1", "7", "9", "_", ".", "-", "e", "E", "x", "b", "a", "F", "inf", "nan", "Inf", "NaN", "yes",
+             "No", "ON", "off", "true", "FALSE", "null", "Null", "2024", "01", "12"]
+# ids at the edges of YAML 1.1's typed forms
+TYPED_EDGES = ["2001-12-14", "2001-1-14", "._1", "._", ".5", "1.e-5", "1e-5", "1.0e5", "0b", "0b_1", "0x", "-0x_f",
+               "0_", "-_", "-.inf", "-.nan", "0o7", "Y", "oN", "NULL", "nULL", "1_000.5"]
+RESOLVER = yaml.resolver.Resolver()
+
+
+def resolver_reads_as_itself(value):
+    """True when value is in the writer's plain alphabet and PyYAML's resolver reads it plain as a string."""
+    return bool(re.fullmatch(r"[A-Za-z0-9_./-]+", value)) and (
+        RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == "tag:yaml.org,2002:str")
 
 
 def outcome(parse, text):
@@ -392,23 +453,56 @@ def outcome(parse, text):
 
 
 def assert_reads_as_pyyaml(text):
-    """parse_segments_yaml reads text as the PyYAML-only reader does with each loader, errors included."""
+    """parse_segments_yaml reads text as PyYAML does with each loader, or refuses it naming a line.
+
+    The line dialect is a subset of YAML: what the line reader takes, PyYAML
+    reads as the same segments, and what PyYAML refuses, the line reader refuses.
+    """
+    ours = outcome(parse_segments_yaml, text)
+    if isinstance(ours, str):
+        assert re.match(r"ValueError: line \d+: ", ours), (ours, text)
+    else:
+        for loader in LOADERS:
+            assert segments_yaml(text, loader) == ours, (loader, text)
+
+
+def assert_equals_pyyaml(text):
+    ours = parse_segments_yaml(text)
     for loader in LOADERS:
-        with mock.patch.object(segmenter, "_YAML_LOADER", loader):
-            assert outcome(parse_segments_yaml, text) == outcome(segmenter._load_segments_yaml, text), (loader, text)
+        assert segments_yaml(text, loader) == ours, (loader, text)
 
 
 @st.composite
 def canonical_texts(draw):
     times = st.integers(0, 10**12).map(lambda n: n / 10**6)
     ids = st.sampled_from(PLAIN_IDS)
-    segments = draw(st.lists(st.builds(Segment, ids, times, times.filter(bool), ids), max_size=6))
+    segments = draw(st.lists(st.builds(Segment, ids, times, times.filter(bool), ids), max_size=6,
+                             unique_by=lambda s: (s.wav, s.offset)))
     return write_segments_yaml(segments)
 
 
 @st.composite
+def mustc_texts(draw):
+    """MuST-C's lines: rW and uW keys, times to two decimals or whole seconds, keys in any order."""
+    times = st.one_of(st.integers(0, 10**7).map(str), st.integers(0, 10**9).map(lambda n: f"{n / 100:.2f}"),
+                      st.integers(0, 10**5).map(lambda n: f"{n}."), st.integers(0, 10**12).map(lambda n: f"{n / 10**6:.6f}"))
+    ids = st.one_of(st.sampled_from(PLAIN_IDS), st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+    lines, seen = [], set()
+    for _ in range(draw(st.integers(0, 6))):
+        wav, offset = segmenter._yaml_str(draw(ids)), draw(times)
+        if (wav, float(offset)) in seen:
+            continue
+        seen.add((wav, float(offset)))
+        fields = [("duration", draw(times.filter(lambda t: float(t) > 0))), ("offset", offset),
+                  ("rW", str(draw(st.integers(0, 300)))), ("uW", str(draw(st.integers(0, 30)))),
+                  ("speaker_id", segmenter._yaml_str(draw(ids))), ("wav", wav)]
+        lines.append("- {" + ", ".join(f"{k}: {v}" for k, v in draw(st.permutations(fields))) + "}\n")
+    return "".join(lines)
+
+
+@st.composite
 def mutated_texts(draw):
-    text = draw(canonical_texts())
+    text = draw(st.one_of(canonical_texts(), mustc_texts()))
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["field", "insert", "drop", "duplicate", "truncate"]))
         lines = text.split("\n")
@@ -429,41 +523,59 @@ def mutated_texts(draw):
     return text
 
 
+NOT_A_LINE = "^line 1: expected a flow mapping - \\{key: value, ...\\}, got "
+# forms PyYAML reads, and the line reader's error for those it refuses: other YAML, or an invalid entry
+OTHER_FORMS = {
+    "- {duration: 1.000000, offset: 0.000000, speaker_id: yes, wav: a.wav}\n":
+        r"^line 1: speaker_id must be a string, got yes \(a YAML bool; quote it\)$",
+    "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: 007}\n":
+        r"^line 1: wav must be a string, got 007 \(a YAML int; quote it\)$",
+    "- {duration: 1.000000, offset: 0.000000, speaker_id: \"s\", wav: a.wav}\n": None,
+    "- {duration: 3.550000, offset: 14.360000, rW: 17, uW: 0, speaker_id: spk.1, wav: ted_1.wav}\n": None,
+    "- duration: 1.000000\n  offset: 0.000000\n  speaker_id: s\n  wav: a.wav\n": NOT_A_LINE + "'- duration: 1.000000'$",
+    "# cut at 5 s\n- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}\n": NOT_A_LINE + "'# cut at 5 s'$",
+    "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}\n\n": None,
+    "- {duration: 0.000000, offset: 0.000000, speaker_id: s, wav: a.wav}\n":
+        "^line 1: duration must be finite and positive, got 0.0$",
+    "- {duration: 1" + "0" * 400 + ".000000, offset: 0.000000, speaker_id: s, wav: a.wav}\n":
+        "^line 1: duration must be finite and positive, got inf$",
+    "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}\r\n": NOT_A_LINE,
+    "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}": None,
+    "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav} # x\n": NOT_A_LINE,
+    "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}}\n": NOT_A_LINE,
+    "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav} x\n": NOT_A_LINE,
+    "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav, }\n": NOT_A_LINE,
+    "- {duration: 1.000000, offset: 010, speaker_id: s, wav: a.wav}\n": "^line 1: offset must be an unsigned decimal, got 010$",
+    "- {duration: 08, offset: 0, speaker_id: s, wav: a.wav}\n": "^line 1: duration must be an unsigned decimal, got 08$",
+    "- {duration: 1., offset: 0, speaker_id: s, wav: a.wav}\n": None,
+    "- {duration: 1.000000, offset: 0.000000, speaker_id: \"a\\nb\", wav: a.wav}\n": NOT_A_LINE,
+    "- {duration: 1.000000, offset: 0.000000, speaker_id: \"a\\x41\\u00e9\\\\\\\"\", wav: a.wav}\n": None,
+    "": None,
+    "\n": None,
+}
+
+
 class TestSegmentLineReader:
-    """The one-pattern reader of write_segments_yaml's lines against the PyYAML-only reader."""
+    """The line reader of segment YAML against PyYAML's reading of the same text."""
 
     @settings(max_examples=300, deadline=None)
     @given(text=mutated_texts())
     def test_reads_as_pyyaml(self, text):
         assert_reads_as_pyyaml(text)
 
-    @pytest.mark.parametrize("text", [
-        "- {duration: 1.000000, offset: 0.000000, speaker_id: yes, wav: a.wav}\n",
-        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: 007}\n",
-        "- {duration: 1.000000, offset: 0.000000, speaker_id: \"s\", wav: a.wav}\n",
-        "- {duration: 3.550000, offset: 14.360000, rW: 17, uW: 0, speaker_id: spk.1, wav: ted_1.wav}\n",
-        "- duration: 1.000000\n  offset: 0.000000\n  speaker_id: s\n  wav: a.wav\n",
-        "# cut at 5 s\n- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}\n",
-        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}\n\n",
-        "- {duration: 0.000000, offset: 0.000000, speaker_id: s, wav: a.wav}\n",
-        "- {duration: 1" + "0" * 400 + ".000000, offset: 0.000000, speaker_id: s, wav: a.wav}\n",
-        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}\r\n",
-        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}",
-        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav} # x\n",
-        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav}}\n",
-        "- {duration: 1.000000, offset: 0.000000, speaker_id: s, wav: a.wav} x\n",
-        "",
-        "\n",
-    ])
+    @pytest.mark.parametrize("text", list(OTHER_FORMS))
     def test_other_forms_read_as_pyyaml(self, text):
-        assert_reads_as_pyyaml(text)
+        if OTHER_FORMS[text] is None:
+            assert_equals_pyyaml(text)
+        else:
+            with pytest.raises(ValueError, match=OTHER_FORMS[text]):
+                parse_segments_yaml(text)
 
     @settings(max_examples=300, deadline=None)
-    @given(canonical_texts())
+    @given(st.one_of(canonical_texts(), mustc_texts()))
     def test_canonical_text_takes_the_line_reader(self, text):
-        segments = segmenter._read_segment_lines(text)
-        assert segments is not None
-        assert segments == segmenter._load_segments_yaml(text)
+        # the writer's lines and MuST-C's are in the dialect: read, and read as PyYAML reads them
+        assert_equals_pyyaml(text)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -474,11 +586,21 @@ class TestSegmentLineReader:
         # a surrogate-free id is any audio id a frame transcript may hold
         offset, duration = micros[0] / 10**6, (micros[1] + 1) / 10**6
         segments = [Segment(wav, offset, duration, speaker) for wav, speaker in zip(ids, ids[::-1])]
+        segments = list({s.wav: s for s in segments}.values())  # one segment per (wav, offset)
         text = write_segments_yaml(segments)
         assert parse_segments_yaml(text) == segments
         for loader in LOADERS:
-            with mock.patch.object(segmenter, "_YAML_LOADER", loader):
-                assert segmenter._load_segments_yaml(text) == segments
+            assert segments_yaml(text, loader) == segments
+
+    @pytest.mark.parametrize("value", PLAIN_IDS + SPECIAL_FIELDS + TYPED_EDGES)
+    def test_plain_id_table_matches_the_resolver(self, value):
+        assert (segmenter._yaml_str(value) == value) == resolver_reads_as_itself(value)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True),
+                     st.lists(st.sampled_from(ID_PIECES), min_size=1, max_size=6).map("".join)))
+    def test_plain_id_table_matches_the_resolver_on_any_id(self, value):
+        assert (segmenter._yaml_str(value) == value) == resolver_reads_as_itself(value)
 
     @pytest.mark.parametrize("value, written", [
         ("talk\u0085a.wav", '"talk\\x85a.wav"'),
@@ -501,6 +623,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^a.wav: frame_ms must be positive, got nan$"):
             FrameTranscript("a.wav", math.nan, ("a",))
         assert FrameTranscript("a.wav", 60_000, ("a",)).duration == 60.0
+
+    @pytest.mark.parametrize("max_seg_len, min_gap", [(math.inf, 0.2), (math.nan, 0.2), (22.0, math.nan)])
+    def test_rejects_non_finite_lengths(self, max_seg_len, min_gap):
+        # an infinite cap used to fail in the split walk as a bare OverflowError
+        with pytest.raises(ValueError, match="^need finite max_seg_len > min_gap > 0, got "):
+            SegmentationConfig(max_seg_len=max_seg_len, min_gap=min_gap)
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
