@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .ioutil import atomic_write
+
 INT16_SCALE = 32768.0  # symmetric choice: -32768 maps to exactly -1.0
 RESAMPLE_TAPS = 64
 RESAMPLE_BLOCK = 1024  # output rows per kernel block: its two (rows x 65) buffers, 520 KB each, stay in L2
@@ -136,7 +138,7 @@ def write_wav(path, clip: AudioClip) -> None:
     if hasattr(path, "write"):
         path.write(header + ints.tobytes())
     else:
-        with open(path, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             fh.write(header + ints.tobytes())
 
 

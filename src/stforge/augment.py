@@ -170,7 +170,7 @@ def echo(clip: AudioClip, delay_ms: float, decay: float) -> AudioClip:
         raise ValueError(f"delay must be >= 0 ms, got {delay_ms}")
     if not LIMITS["echo_decay_range"][1](decay):
         raise ValueError(f"decay must be in [0, 1), got {decay}")
-    d = int(round(delay_ms * clip.sample_rate / 1000.0))
+    d = int(round(min(delay_ms * clip.sample_rate / 1000.0, len(clip.samples))))  # past the end: no copy
     y = clip.samples.copy()
     if decay != 0.0:
         if d == 0:

@@ -120,8 +120,7 @@ def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
         rng = random.Random(f"{cfg.seed}:{name}")
         params = sample_params(cfg.augment_policy, rng)
         clip = apply_augmentation(clip, params)
-        with atomic_write(os.path.join(args.out, f"{name}.wav"), "wb") as fh:
-            write_wav(fh, clip)
+        write_wav(os.path.join(args.out, f"{name}.wav"), clip)
         log.append((name, params))
     with atomic_write(os.path.join(args.out, "augment_log.tsv")) as fh:
         for name, params in log:

@@ -58,8 +58,9 @@ class BatchSpec:
     max_tgt_tokens: int = 1024
 
     def __post_init__(self):
-        if self.max_batch_samples <= 0 or self.max_src_samples <= 0 or self.max_tgt_tokens <= 0:
-            raise ValueError("batch limits must be positive")
+        for name in ("max_batch_samples", "max_src_samples", "max_tgt_tokens"):
+            if (value := getattr(self, name)) <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.max_src_samples > self.max_batch_samples:
             raise ValueError(
                 f"max_src_samples {self.max_src_samples} exceeds "

@@ -20,8 +20,6 @@ import os
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ioutil import parse_rows, split_lines
 
 LETTER_RE = re.compile(r"[A-Za-z]")
@@ -127,27 +125,26 @@ def is_transcribable(token: str) -> bool:
     return LETTER_RE.search(token) is not None
 
 
-def _min_gap_frames(min_gap: float, frame_ms: int) -> int:
+def _min_gap_frames(min_gap: float, t: FrameTranscript) -> int:
     # Smallest frame count whose duration reaches min_gap; the epsilon
     # absorbs float noise so a run of exactly min_gap seconds qualifies.
-    return max(1, math.ceil(min_gap * 1000.0 / frame_ms - 1e-9))
+    # A min_gap longer than the transcript needs more frames than it has.
+    return max(1, math.ceil(min(min_gap * 1000.0 / t.frame_ms - 1e-9, len(t.tokens) + 1)))
 
 
 def find_gaps(t: FrameTranscript, min_gap: float) -> list[Gap]:
     """All maximal untranscribable runs lasting at least ``min_gap`` seconds."""
     if not 0 < min_gap < math.inf:  # also rejects nan
         raise ValueError(f"min_gap must be positive and finite, got {min_gap}")
-    threshold = _min_gap_frames(min_gap, t.frame_ms)
-    starts, ends = _gap_runs(t)
-    return [Gap(int(s), int(e - s)) for s, e in zip(starts, ends) if e - s >= threshold]
+    return [Gap(start, end - start) for start, end in _gap_runs(t, _min_gap_frames(min_gap, t))]
 
 
-def _gap_runs(t: FrameTranscript) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end frames of each maximal untranscribable run, one pass."""
-    silent = {tok for tok in set(t.tokens) if not is_transcribable(tok)}
-    flags = np.array([tok in silent for tok in t.tokens], dtype=np.int8)
-    edges = np.diff(np.pad(flags, 1))
-    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+def _gap_runs(t: FrameTranscript, threshold: int) -> list[tuple[int, int]]:
+    """(start, end) frames of each maximal untranscribable run of at least threshold frames."""
+    flag = {tok: "1" if is_transcribable(tok) else "0" for tok in set(t.tokens)}
+    flags = "".join(map(flag.__getitem__, t.tokens))
+    # the lookbehind starts a match only at a run's first frame, so each run is read once
+    return [m.span() for m in re.finditer(f"(?<!0)0{{{threshold},}}", flags)]
 
 
 def _split_tree(t: FrameTranscript, min_gap: float):
@@ -158,22 +155,20 @@ def _split_tree(t: FrameTranscript, min_gap: float):
     min_gap wins, then the midpoint closest to the span center, then the
     leftmost. None means the span has no usable gap.
     """
-    starts, ends = _gap_runs(t)
-    threshold = _min_gap_frames(min_gap, t.frame_ms)
+    threshold = _min_gap_frames(min_gap, t)
+    runs = _gap_runs(t, threshold)
 
     def split(start: int, end: int):
-        lo = np.searchsorted(ends, start, side="right")
-        hi = np.searchsorted(starts, end)
-        run_start = np.maximum(starts[lo:hi], start)
-        run_len = np.minimum(ends[lo:hi], end) - run_start
-        mid = run_start + run_len // 2
-        usable = (run_len >= threshold) & (mid > start)
-        if not usable.any():
-            return None
-        # |2*mid - (start+end)| ranks midpoints by distance to the span
-        # center without floats; lexsort is stable, so the leftmost wins ties.
-        mid, dist = mid[usable], np.abs(2 * mid[usable] - (start + end))
-        return int(mid[np.lexsort((dist, -run_len[usable]))[0]])
+        best_key, best_mid = None, None
+        first = bisect.bisect_right(runs, start, key=lambda run: run[1])  # the first run ending after start
+        for run_start, run_end in runs[first : bisect.bisect_left(runs, end, key=lambda run: run[0])]:
+            run_start, run_end = max(run_start, start), min(run_end, end)
+            mid = (run_start + run_end) // 2
+            # |2*mid - (start+end)| ranks midpoints by distance to the span center without floats
+            key = (run_start - run_end, abs(2 * mid - start - end))
+            if run_end - run_start >= threshold and mid > start and (best_key is None or key < best_key):
+                best_key, best_mid = key, mid
+        return best_mid
 
     return split
 
@@ -186,7 +181,8 @@ def _frontiers(t: FrameTranscript, min_gap: float, caps: list[float]) -> list[li
     """
     split = _split_tree(t, min_gap)
     frame_s = t.frame_ms / 1000.0
-    limits = [int(math.floor(cap * 1000.0 / t.frame_ms + 1e-9)) for cap in caps]
+    # a cap's frame count, at most the transcript's: a longer cap holds it whole
+    limits = [math.floor(min(cap * 1000.0 / t.frame_ms + 1e-9, len(t.tokens))) for cap in caps]
     speaker = os.path.basename(t.audio_id).rsplit(".", 1)[0]
     frontiers: list[list[Segment]] = [[] for _ in caps]
     stack = [(0, len(t.tokens), len(caps))]  # a span and the caps [0, reach) it is reached under

@@ -176,6 +176,20 @@ class TestWavIO:
             write_wav(fh, clip)
         assert load_wav(path).sample_rate == clip.sample_rate
 
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "clip.wav"
+        write_wav(path, sine(seconds=0.1))
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_wav(path, sine(freq=880.0, seconds=0.2))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["clip.wav"]  # no .tmp- file left behind
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_write_rejects_non_finite_samples(self, tmp_path, bad):
         path = tmp_path / "bad.wav"

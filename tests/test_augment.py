@@ -232,6 +232,19 @@ class TestEcho:
         out = echo(clip, 200.0, 0.2)
         np.testing.assert_allclose(out.samples, clip.samples / 1.2)
 
+    @pytest.mark.parametrize("delay_ms", [1e300, 1e308, 1.7976931348623157e308])
+    def test_huge_finite_delay_adds_no_copy(self, delay_ms):
+        # delay_ms * rate overflowed to inf, and rounding it to a sample count raised OverflowError
+        clip = noise(seconds=0.1, seed=6)
+        np.testing.assert_array_equal(echo(clip, delay_ms, 0.2).samples, clip.samples / 1.2)
+
+    def test_delay_rounding_at_the_clip_end(self):
+        clip = noise(seconds=0.1, seed=6)  # 1600 samples; 1 ms is 16 of them
+        near = echo(clip, 1599.4 / 16, 0.2).samples  # rounds to 1599: one delayed sample
+        np.testing.assert_array_equal(near[:-1], clip.samples[:-1] / 1.2)
+        assert near[-1] == (clip.samples[-1] + 0.2 * clip.samples[0]) / 1.2
+        np.testing.assert_array_equal(echo(clip, 1599.6 / 16, 0.2).samples, clip.samples / 1.2)  # rounds to 1600
+
     @pytest.mark.parametrize("delay_ms", [math.nan, math.inf])
     def test_non_finite_delay_rejected(self, delay_ms):
         # nan failed converting to a sample count, inf overflowed it

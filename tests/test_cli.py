@@ -116,6 +116,14 @@ class TestSegment:
         segments = parse_segments_yaml(out.read_text(encoding="utf-8"))
         assert len(segments) == 4  # each file split at its silence
 
+    @pytest.mark.parametrize("lengths", [["--max-seg-len", "1e306"], ["--min-gap", "1e306", "--max-seg-len", "1e307"]])
+    def test_huge_finite_lengths_keep_each_file_whole(self, frames_file, tmp_path, lengths):
+        # these exited 1 with a bare "cannot convert float infinity to integer"
+        out = tmp_path / "segments.yaml"
+        assert main(["segment", "--transcripts", str(frames_file), *lengths, "--out", str(out)]) == 0
+        segments = parse_segments_yaml(out.read_text(encoding="utf-8"))
+        assert [(s.wav, s.offset, s.duration) for s in segments] == [("a.wav", 0.0, 13.2), ("b.wav", 0.0, 13.2)]
+
     @pytest.mark.parametrize("audio", ["talk\u0085a.wav", "talk\u0007.wav", "talk.wav\n", "a\u2028b\r\t.wav"])
     def test_ids_with_breaks_and_control_characters_round_trip(self, tmp_path, audio):
         # a break used to read back as a space, a control character as an unreadable file
@@ -176,6 +184,15 @@ class TestSweep:
         ])
         assert rc == 0
         assert out.read_text(encoding="utf-8") == "30\t2\n31\t2\n32\t2\n"
+
+    def test_huge_finite_grid_runs(self, frames_file, tmp_path):
+        # this exited 1 with a bare "cannot convert float infinity to integer"
+        out = tmp_path / "sweep.tsv"
+        rc = main(["sweep", "--transcripts", str(frames_file), "--lo", "1e307", "--hi", "1e308", "--step", "1e305",
+                   "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 901 and lines[0] == "1e+307\t2" and lines[-1] == "1e+308\t2"
 
     @pytest.mark.parametrize("flag, value, shown", [("--hi", "inf", "5.0, inf"), ("--lo", "nan", "nan, 25.0"),
                                                     ("--hi", "nan", "5.0, nan")])

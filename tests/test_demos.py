@@ -41,6 +41,13 @@ def test_package_import_does_not_load_numpy():
     assert proc.stdout.strip() == "['stforge']"
 
 
+def test_segmenter_import_does_not_load_numpy():
+    # the gap search runs on Python lists and one regular expression
+    proc = _run("-c", "import stforge.segmenter, sys; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_sweep_score_runs_without_pyyaml(tmp_path):
     # PyYAML is a test dependency only: reading and scoring segment YAML must not import it
     (tmp_path / "segs").mkdir()

@@ -6,17 +6,24 @@ place of a field) and runs the CLI stage that reads it. The stage exits 0,
 or exits 1 with exactly one ERROR record that starts ``path: line N: ``
 (a WAV or an error about a whole file: ``path: ``) and
 leaves no output file behind.
+
+The command line is fuzzed the same way: one numeric flag of a valid argv
+gets a special or drawn value. The stage exits 0 with its outputs, 1 with
+one ERROR record naming the flag (or showing its value) and no output, or
+2 (a usage error), within a wall-clock bound and without a traceback.
 """
 
+import contextlib
 import json
 import os
 import re
+import signal
 import struct
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stforge.cli import main
@@ -68,6 +75,10 @@ def run_stage(caplog, argv, path, outputs, prefix=r"line \d+: ", other=None):
         return
     assert rc == 1 and len(errors) == 1, (rc, errors)
     assert re.match(re.escape(f"{path}: ") + prefix, errors[0]) or (other and re.match(other, errors[0])), errors[0]
+    assert_no_outputs(outputs)
+
+
+def assert_no_outputs(outputs):
     for out in outputs:
         assert not os.path.isfile(out) and not (os.path.isdir(out) and os.listdir(out)), out
 
@@ -197,3 +208,102 @@ def test_hypotheses_via_score(caplog, resegment, data):
                 fh.write(content)
         run_stage(caplog, ["score", "--hyp", path, "--ref", ref] + ["--resegment"] * resegment, path, [],
                   prefix=r"(line \d+: |\d+ hypothesis lines vs \d+ references; )")
+
+
+# Numeric flags: a valid argv per subcommand on small inputs, with one flag's value replaced.
+FLAG_VALUES = ("nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1e-300", "1e300", "1e306", "1e308",
+               "1e400", "9" * 400, "-" + "9" * 400, "ten", "")
+FLAG_FUZZ = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+FLAG_SECONDS = 10  # an example running longer than this is a hang
+
+
+def flag_argvs(tmp):
+    """{command: (argv, output paths)} of valid runs on small inputs written under tmp."""
+    files = {"frames.jsonl": TRANSCRIPTS, "m.tsv": MANIFEST, "hyps.tsv": HYPS, "clip.wav": small_wav()}
+    for name, content in files.items():
+        with open(os.path.join(tmp, name), "wb") as fh:
+            fh.write(content)
+    frames, manifest, hyps, wav, out, report = (os.path.join(tmp, name) for name in
+                                                 (*files, "out", "report.tsv"))
+    return {
+        "segment": (["segment", "--transcripts", frames, "--max-seg-len", "0.5", "--min-gap", "0.2",
+                     "--out", out], [out]),
+        "sweep": (["sweep", "--transcripts", frames, "--lo", "0.5", "--hi", "1.5", "--step", "0.25",
+                   "--min-gap", "0.2", "--out", out], [out]),
+        "filter": (["filter", "--manifest", manifest, "--asr-hyps", hyps, "--wer-threshold", "0.5",
+                    "--max-samples", "480000", "--out", out, "--report", report], [out, report]),
+        "augment": (["augment", "--in", wav, "--p-aug", "1", "--tempo", "0.9", "1.1", "--pitch", "-100", "100",
+                     "--echo-delay", "10", "50", "--echo-decay", "0.1", "0.5", "--out", out], [out]),
+        "sample": (["sample", "--manifest", manifest, "--epoch", "1", "--out", out], [out]),
+        "batch": (["batch", "--in", manifest, "--max-batch", "480000", "--out", out], [out]),
+    }
+
+
+# (command, flag, which of the flag's values); --seed is global and goes before the command
+NUMERIC_FLAGS = [
+    ("segment", "--max-seg-len", 0), ("segment", "--min-gap", 0),
+    ("sweep", "--lo", 0), ("sweep", "--hi", 0), ("sweep", "--step", 0), ("sweep", "--min-gap", 0),
+    ("filter", "--wer-threshold", 0), ("filter", "--max-samples", 0),
+    ("augment", "--p-aug", 0), ("augment", "--tempo", 0), ("augment", "--tempo", 1),
+    ("augment", "--pitch", 0), ("augment", "--pitch", 1), ("augment", "--echo-delay", 0),
+    ("augment", "--echo-delay", 1), ("augment", "--echo-decay", 0), ("augment", "--echo-decay", 1),
+    ("sample", "--epoch", 0), ("batch", "--max-batch", 0),
+] + [(command, "--seed", 0) for command in ("segment", "sweep", "filter", "augment", "sample", "batch")]
+
+
+class Overran(BaseException):
+    """Raised on SIGALRM; not an Exception, so main cannot report a hang as exit 1."""
+
+
+def run_bounded(argv) -> int:
+    def overran(signum, frame):
+        raise Overran(f"{argv} ran over {FLAG_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.alarm(FLAG_SECONDS)
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        return exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def names_flag(message: str, flag: str, value: str) -> bool:
+    """True when an error names the flag's key (sweep's --lo and --hi are max_seg_len values) or shows its value."""
+    names = [flag[2:].replace("-", "_")] + ["max_seg_len"] * (flag in ("--lo", "--hi"))
+    with contextlib.suppress(ValueError):
+        names.append(re.escape(repr(float(value))))
+    return any(re.search(rf"(?<![a-z]){name}", message) for name in names)
+
+
+def with_flag_values(test):
+    """Run test on every FLAG_VALUES entry, then on drawn floats and integers."""
+    test = given(value=st.sampled_from(FLAG_VALUES) | st.floats().map(repr) | st.integers().map(str))(test)
+    for value in FLAG_VALUES:
+        test = example(value=value)(test)
+    return FLAG_FUZZ(test)
+
+
+@pytest.mark.parametrize("command, flag, index", NUMERIC_FLAGS)
+@with_flag_values
+def test_numeric_flag(caplog, capsys, command, flag, index, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, outputs = flag_argvs(tmp)[command]
+        if flag == "--seed":
+            argv = ["--seed", value] + argv
+        else:
+            argv[argv.index(flag) + 1 + index] = value
+        caplog.clear()
+        rc = run_bounded(argv)
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err + caplog.text
+        assert rc in (0, 1, 2), rc
+        if rc == 0:
+            assert not errors and all(os.path.exists(out) for out in outputs)
+            return
+        if rc == 1:
+            assert len(errors) == 1 and names_flag(errors[0], flag, value), errors
+        assert_no_outputs(outputs)

@@ -171,6 +171,12 @@ class TestBuildBatches:
         batches = build_batches(entries, spec)
         assert [e.n_samples for e in batches[0]] == [300, 200, 100]
 
+    @pytest.mark.parametrize("limit", ["max_batch_samples", "max_src_samples", "max_tgt_tokens"])
+    def test_non_positive_limit_is_named(self, limit):
+        # all three read "batch limits must be positive", which named no flag or key
+        with pytest.raises(ValueError, match=f"^{limit} must be positive, got 0$"):
+            BatchSpec(**{limit: 0})
+
     def test_oversize_entry_rejected(self):
         with pytest.raises(ValueError, match="batch cap"):
             build_batches([entry("big", n_samples=440_001)], BatchSpec())

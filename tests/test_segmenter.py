@@ -56,6 +56,14 @@ def random_tokens(rng, n_frames, gappiness=0.3):
     return tokens[:n_frames]
 
 
+def random_frame_ms_and_min_gap(rng):
+    """A frame step and a min_gap whose threshold runs from 1 frame to about 4x the default's."""
+    frame_ms = rng.choice([10, 20, 40])
+    # whole frame counts put min_gap on a threshold's boundary; 0.001 s is under any frame
+    min_gap = rng.choice([0.001, rng.randint(1, 800 // frame_ms) * frame_ms / 1000, rng.uniform(0.001, 0.8)])
+    return frame_ms, min_gap
+
+
 class TestTranscribability:
     def test_letters_count(self):
         assert is_transcribable("a")
@@ -143,10 +151,12 @@ class TestSplitRecursive:
         for trial in range(300):
             n = rng.randint(1, 100)
             tokens = random_tokens(rng, n, gappiness=0.5)
-            max_len = rng.choice([0.5, 1.0, 1.5, 2.0])
-            got = spans_of(split_recursive(transcript(tokens), SegmentationConfig(max_len)))
-            want = segment_spans(tokens, FRAME_MS, max_len, 0.2)
-            assert got == want, f"trial {trial}: {tokens}"
+            frame_ms, min_gap = random_frame_ms_and_min_gap(rng)
+            max_len = min_gap + rng.choice([0.1, 0.5, 1.0, 1.5])
+            t = transcript(tokens, frame_ms)
+            got = spans_of(split_recursive(t, SegmentationConfig(max_len, min_gap)), frame_ms)
+            want = segment_spans(tokens, frame_ms, max_len, min_gap)
+            assert got == want, f"trial {trial}: {frame_ms} ms, min_gap {min_gap}, {tokens}"
 
     def test_deterministic(self):
         rng = random.Random(7)
@@ -213,23 +223,25 @@ class TestSweep:
     @settings(max_examples=60, deadline=None)
     def test_every_cap_is_a_cut_of_one_tree(self, seed):
         rng = random.Random(seed)
+        frame_ms, min_gap = random_frame_ms_and_min_gap(rng)
         transcripts = []
         for i in range(rng.randint(1, 3)):
             tokens = []
             for _ in range(rng.randint(1, 30)):
                 tokens.extend(rng.choice("abc") for _ in range(rng.randint(1, 80)))
-                # gaps from one frame to several times the 10-frame threshold
-                tokens.extend(rng.choice(["", "|"]) for _ in range(rng.choice([1, 5, 9, 10, 11, 19, 20, 35, 60])))
-            transcripts.append(transcript(tokens, audio_id=f"t{i}.wav"))
+                # gaps from one frame to several times the largest threshold drawn below
+                tokens.extend(rng.choice(["", "|"]) for _ in range(rng.randint(1, 90)))
+            transcripts.append(transcript(tokens, frame_ms, audio_id=f"t{i}.wav"))
         # steps under one frame give several caps the same frame limit
-        lo, step = rng.choice([0.25, 0.5, 1.0]), rng.choice([0.01, 0.05, 0.25, 0.3, 0.5, 1.0])
-        swept = sweep_max_seg_len(transcripts, lo, lo + rng.randint(0, 12) * step, step)
+        lo, step = min_gap + rng.choice([0.05, 0.25, 0.5, 1.0]), rng.choice([0.01, 0.05, 0.25, 0.3, 0.5, 1.0])
+        swept = sweep_max_seg_len(transcripts, lo, lo + rng.randint(0, 12) * step, step, min_gap)
         counts = []
         for cap in sorted(swept, reverse=True):
-            assert swept[cap] == [seg for t in transcripts for seg in split_recursive(t, SegmentationConfig(cap))]
+            cfg = SegmentationConfig(cap, min_gap)
+            assert swept[cap] == [seg for t in transcripts for seg in split_recursive(t, cfg)]
             for t in transcripts:
-                spans = spans_of([seg for seg in swept[cap] if seg.wav == t.audio_id])
-                assert spans == segment_spans(list(t.tokens), FRAME_MS, cap, 0.2)
+                spans = spans_of([seg for seg in swept[cap] if seg.wav == t.audio_id], frame_ms)
+                assert spans == segment_spans(list(t.tokens), frame_ms, cap, min_gap)
             counts.append(len(swept[cap]))
         assert counts == sorted(counts)  # segment counts never fall as the cap falls
 
@@ -629,6 +641,18 @@ class TestConfigValidation:
         # an infinite cap used to fail in the split walk as a bare OverflowError
         with pytest.raises(ValueError, match="^need finite max_seg_len > min_gap > 0, got "):
             SegmentationConfig(max_seg_len=max_seg_len, min_gap=min_gap)
+
+    def test_huge_finite_lengths_run(self):
+        # cap * 1000 / frame_ms overflowed to inf, and math.floor/ceil of it raised a bare OverflowError
+        tokens = ["a"] * 50 + [""] * 20 + ["b"] * 50
+        t = transcript(tokens)
+        whole = [Segment("talk.wav", 0.0, 2.4, "talk")]
+        assert split_recursive(t, SegmentationConfig(max_seg_len=1e306)) == whole
+        assert split_recursive(t, SegmentationConfig(max_seg_len=3.0, min_gap=1.5)) == whole
+        assert split_recursive(t, SegmentationConfig(max_seg_len=1e307, min_gap=1e306)) == whole
+        assert find_gaps(t, 1e306) == [] and find_gaps(t, 2.4) == [] and find_gaps(t, 0.4) == [Gap(50, 20)]
+        swept = sweep_max_seg_len([t], 1e307, 1e308, 1e305, min_gap=1e306)
+        assert len(swept) == 901 and all(segments == whole for segments in swept.values())
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
