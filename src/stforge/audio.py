@@ -3,6 +3,8 @@
 All functions are pure: they take and return immutable :class:`AudioClip`
 values and never mutate their inputs. Pipeline-internal audio is mono;
 integer WAV data is scaled to [-1, 1] on load by dividing by 32768.
+numpy is imported by the functions that use it, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ import numbers
 import os
 import struct
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING
 
 from .ioutil import atomic_write
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INT16_SCALE = 32768.0  # symmetric choice: -32768 maps to exactly -1.0
 RESAMPLE_TAPS = 64
@@ -31,6 +34,8 @@ class AudioError(Exception):
 
 def _as_readonly(samples: np.ndarray) -> np.ndarray:
     """``samples`` as a read-only contiguous float64 array, copied unless it already is one."""
+    import numpy as np
+
     if samples.dtype == np.float64 and samples.flags.c_contiguous and not samples.flags.writeable:
         return samples
     out = np.array(samples, dtype=np.float64, order="C")
@@ -53,6 +58,8 @@ class AudioClip:
     sample_rate: int
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "sample_rate", _positive_int("sample_rate", self.sample_rate))
         arr = np.asarray(self.samples)
         if arr.ndim != 1:
@@ -78,6 +85,8 @@ def load_wav(path) -> AudioClip:
     unsupported encodings, a sample rate outside 1 .. MAX_WAV_RATE and
     NaN or infinite float samples.
     """
+    import numpy as np
+
     path = os.fspath(path)
     if not os.path.isfile(path):
         raise AudioError(f"{path}: no such file")
@@ -123,23 +132,21 @@ def write_wav(path, clip: AudioClip) -> None:
 
     Samples are multiplied by 32768, rounded and clipped to the int16
     range, so a clip loaded from a 16-bit file round-trips bit-exactly.
-    ``path`` may be an open binary file object. Raises :class:`AudioError`,
-    naming the path when given one, if any sample is NaN or infinite or
-    the rate is above MAX_WAV_RATE.
+    Raises :class:`AudioError` naming the path if any sample is NaN or
+    infinite or the rate is above MAX_WAV_RATE.
     """
-    where = "" if hasattr(path, "write") else f"{os.fspath(path)}: "
+    import numpy as np
+
+    path = os.fspath(path)
     if clip.sample_rate > MAX_WAV_RATE:
-        raise AudioError(f"{where}sample rate {clip.sample_rate} outside 1 .. {MAX_WAV_RATE} Hz")
+        raise AudioError(f"{path}: sample rate {clip.sample_rate} outside 1 .. {MAX_WAV_RATE} Hz")
     if not np.isfinite(clip.samples).all():
-        raise AudioError(f"{where}non-finite samples (NaN or infinity) cannot be written as PCM16")
+        raise AudioError(f"{path}: non-finite samples (NaN or infinity) cannot be written as PCM16")
     ints = np.clip(np.round(clip.samples * INT16_SCALE), -32768, 32767).astype("<i2")
     rate, size = clip.sample_rate, ints.nbytes
     header = _PCM16_HEADER.pack(b"RIFF", 36 + size, b"WAVE", b"fmt ", 16, 1, 1, rate, 2 * rate, 2, 16, b"data", size)
-    if hasattr(path, "write"):
-        path.write(header + ints.tobytes())
-    else:
-        with atomic_write(path, "wb") as fh:
-            fh.write(header + ints.tobytes())
+    with atomic_write(path, "wb") as fh:
+        fh.write(header + ints.tobytes())
 
 
 def _sinc_resample(x: np.ndarray, in_rate: float, out_rate: float) -> np.ndarray:
@@ -178,6 +185,9 @@ def _sinc_resample(x: np.ndarray, in_rate: float, out_rate: float) -> np.ndarray
     Output rows are computed in near-equal blocks of at most RESAMPLE_BLOCK,
     so memory stays bounded on long inputs.
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     n = len(x)
     ratio = out_rate / in_rate
     out_len = int(np.floor(n * ratio + 0.5))
@@ -229,6 +239,8 @@ def normalize_zero_mean_unit_var(clip: AudioClip) -> AudioClip:
     Constant clips come out all-zero: silent segments occur in real
     corpora and must not error.
     """
+    import numpy as np
+
     if len(clip) < 2:
         raise ValueError(f"need at least 2 samples to normalize, got {len(clip)}")
     centered = clip.samples - clip.samples.mean()
@@ -243,6 +255,8 @@ def extract_segment(clip: AudioClip, offset: float, duration: float) -> AudioCli
 
     The request may overshoot the clip end by at most one sample.
     """
+    import numpy as np
+
     if offset < 0:
         raise ValueError(f"negative offset {offset}")
     if duration < 0:

@@ -6,6 +6,8 @@ policy ranges. Tempo uses waveform-similarity overlap-add so pitch is
 preserved (normalized cross-correlation lag search, by FFT and a running
 energy sum); pitch shifting resamples and then restores the duration
 with the same machinery; echo is a single normalized delay tap.
+numpy is imported by the functions that use it, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING
 
 from .audio import AudioClip, _sinc_resample
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WINDOW_MS = 30.0
 SEARCH_MS = 10.0
@@ -102,6 +105,9 @@ def _wsola(x: np.ndarray, rate: int, factor: float) -> np.ndarray:
     the choice does not hang on summation order. Each block's chosen windows
     are overlap-added after its search.
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     w = _window_len(rate)
     hs = w // 2
     ha = int(round(hs * factor))

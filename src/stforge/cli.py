@@ -21,7 +21,6 @@ import sys
 from . import config as config_mod
 from .audio import load_wav, write_wav
 from .augment import apply_augmentation, sample_params
-from .coupling import build_reference_inventory, group_counts, lna_trainable_mask
 from .evalign import corpus_bleu, resegment_mwer, score_segmentation, tokenize_13a
 from .ioutil import atomic_write, is_plain_file_name, parse_rows, read_text, split_lines
 from .sampler import ManifestEntry, batch_stats, build_batches, epoch_sample, filter_lengths, read_manifest, write_manifest
@@ -239,6 +238,8 @@ def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_params_report(args, cfg: config_mod.PipelineConfig) -> int:
+    from .coupling import build_reference_inventory, group_counts, lna_trainable_mask  # numpy: this command only
+
     inv = build_reference_inventory()
     if args.lna:
         inv = lna_trainable_mask(inv)

@@ -1,6 +1,7 @@
 """Pipeline configuration: one key/value document for every constant.
 
-The file is standard TOML, read by the standard library's ``tomllib``.
+The file is standard TOML, read by the standard library's ``tomllib``,
+which is imported only when a file or an ``STFORGE_*`` value is parsed.
 Environment variables prefixed ``STFORGE_`` override file values, and
 command-line flags override both.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
-import tomllib
 from dataclasses import dataclass, field
 
 from .augment import AugmentPolicy
@@ -33,6 +33,8 @@ def parse_config_text(text: str) -> dict:
     table declared twice, so a later line never silently replaces an
     earlier one. Errors name the line and column.
     """
+    import tomllib
+
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
@@ -150,6 +152,8 @@ def apply_env_overrides(data: dict, environ: dict) -> dict:
             raise ConfigError(f"{name}: expected {ENV_PREFIX}<SECTION>_<KEY>")
         value = raw
         if KEYS.get(f"{section}.{key}", (None,))[0] is not _STRING:
+            import tomllib
+
             try:
                 parsed = tomllib.loads(f"v = {raw}")
             except tomllib.TOMLDecodeError:

@@ -23,7 +23,8 @@ tokens, and clips a segment's matches by taking one from a copy of those
 counts for each hypothesis n-gram. The 13a rules are one str.translate
 pass plus two conditional regex passes: the period/comma substitutions
 run only on text holding a period or comma, the digit-dash one only on
-text holding a dash.
+text holding a dash. numpy, which only boundary recovery uses, is
+imported there, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 NGRAM_ORDER = 4
 
@@ -150,12 +153,16 @@ def _steps(eqs, mask: int, pv: int, mv: int) -> tuple[int, int]:
 
 def _bit_array(bits: int, lo: int, n: int) -> np.ndarray:
     """Bits lo .. lo + n - 1 of bits as a 0/1 uint8 array."""
+    import numpy as np
+
     raw = ((bits >> lo) & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
 
 
 def _column_values(top: int, pv: int, mv: int, lo: int, n: int) -> np.ndarray:
     """Rows lo .. lo + n of the column (top, pv, mv), as int64."""
+    import numpy as np
+
     below = (1 << lo) - 1
     vals = np.empty(n + 1, dtype=np.int64)
     vals[0] = top + (pv & below).bit_count() - (mv & below).bit_count()
@@ -249,6 +256,8 @@ def resegment_mwer(hyp_words: list, ref_segments: list) -> list:
     column per segment, 2 bits a cell; each distinct hypothesis word
     that some reference holds adds one H-bit set.
     """
+    import numpy as np
+
     hyp, refs, vocab = _align_keys(hyp_words, ref_segments)
     nhyp = len(hyp)
     # suffix[s][m]: the min cost of assigning the last m words to segments s, s+1, ...

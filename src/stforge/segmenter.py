@@ -227,17 +227,27 @@ def sweep_max_seg_len(
     One split tree per transcript, walked once for all values: the sweep
     costs about one segmentation, and counts cannot rise as the value grows.
     Returns {max_seg_len: segments over all transcripts, in input order}.
+
+    The grid is computed exactly over the shortest decimals of lo, step
+    and hi: value k is lo + k * step, rounded once to a float, while it is
+    at most hi + 1e-9. So 0.1 + 2 * 0.1 is 0.3, and value 0 is lo as given:
+    no digit of lo is lost to rounding.
     """
+    from fractions import Fraction
+
     if not -math.inf < lo <= hi < math.inf:  # also rejects nan
         raise ValueError(f"need finite lo <= hi, got {lo}, {hi}")
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    # the loop below takes k up to (hi - lo + 1.5e-9) / step, the last k whose rounded value is <= hi + 1e-9
+    # the loop below takes k up to about (hi - lo + 1e-9) / step
     if not (hi - lo + 2e-9) / step < MAX_SWEEP_STEPS:
         raise ValueError(f"a grid from {lo} to {hi} by {step} takes over {MAX_SWEEP_STEPS} steps")
+    start, stride, end = (Fraction(repr(float(x))) for x in (lo, step, hi))
+    end += Fraction(1, 10**9)
     result: dict[float, list[Segment]] = {}
     k = 0
-    while (value := round(lo + k * step, 9)) <= hi + 1e-9:
+    while (exact := start + k * stride) <= end:  # exact: the first value past hi may be past the largest float
+        value = float(exact)
         SegmentationConfig(max_seg_len=value, min_gap=min_gap)  # validates the value
         result[value] = []
         k += 1

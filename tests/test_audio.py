@@ -1,6 +1,5 @@
 """Audio container, WAV round-trips, resampling, normalization, cutting."""
 
-import io
 import os
 import re
 import struct
@@ -60,12 +59,12 @@ class TestAudioClip:
             AudioClip(np.zeros(10), rate)
 
     @pytest.mark.parametrize("rate", [np.int16(8000), np.int64(16000), np.uint32(44100)])
-    def test_numpy_integer_rate_is_stored_as_int(self, rate):
+    def test_numpy_integer_rate_is_stored_as_int(self, tmp_path, rate):
         clip = AudioClip(np.zeros(10), rate)
         assert type(clip.sample_rate) is int and clip.sample_rate == rate
-        buf = io.BytesIO()
-        write_wav(buf, clip)
-        assert struct.unpack_from("<I", buf.getvalue(), 24) == (rate,)
+        path = tmp_path / "rate.wav"
+        write_wav(path, clip)
+        assert struct.unpack_from("<I", path.read_bytes(), 24) == (rate,)
 
     def test_len(self):
         assert len(AudioClip(np.zeros(123), 16000)) == 123
@@ -115,10 +114,10 @@ class TestWavIO:
         assert back.sample_rate == rate
         np.testing.assert_array_equal(back.samples * 32768.0, ints)
 
-    def test_writer_bytes_are_pinned(self):
-        buf = io.BytesIO()
-        write_wav(buf, AudioClip(np.array([0.5, -1.5, 1.0]), 16000))
-        assert buf.getvalue() == (
+    def test_writer_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "pinned.wav"
+        write_wav(path, AudioClip(np.array([0.5, -1.5, 1.0]), 16000))
+        assert path.read_bytes() == (
             b"RIFF*\x00\x00\x00WAVEfmt \x10\x00\x00\x00\x01\x00\x01\x00\x80>\x00\x00\x00}\x00\x00"
             b"\x02\x00\x10\x00data\x06\x00\x00\x00\x00@\x00\x80\xff\x7f"
         )
@@ -165,16 +164,9 @@ class TestWavIO:
     def test_largest_rate_writes_back(self, tmp_path):
         path = tmp_path / "fast.wav"
         path.write_bytes(riff(fmt(rate=2**31 - 1), (b"data", PCM16)))
-        buf = io.BytesIO()
-        write_wav(buf, load_wav(path))
-        assert buf.getvalue() == path.read_bytes()
-
-    def test_write_accepts_file_object(self, tmp_path):
-        clip = sine(seconds=0.1)
-        path = tmp_path / "obj.wav"
-        with open(path, "wb") as fh:
-            write_wav(fh, clip)
-        assert load_wav(path).sample_rate == clip.sample_rate
+        back = tmp_path / "back.wav"
+        write_wav(back, load_wav(path))
+        assert back.read_bytes() == path.read_bytes()
 
     def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "clip.wav"
@@ -197,8 +189,6 @@ class TestWavIO:
         with pytest.raises(AudioError, match=re.escape(str(path)) + ": non-finite samples"):
             write_wav(path, clip)
         assert not path.exists()
-        with pytest.raises(AudioError, match="non-finite samples"):
-            write_wav(io.BytesIO(), clip)
 
     def test_write_rejects_rate_above_header_range(self, tmp_path):
         # 2 * rate is the header's uint32 byte rate; this used to fail as a bare struct.error
@@ -207,8 +197,6 @@ class TestWavIO:
         with pytest.raises(AudioError, match=re.escape(f"{path}: sample rate 2147483648 outside 1 .. 2147483647 Hz")):
             write_wav(path, clip)
         assert not path.exists()
-        with pytest.raises(AudioError, match="^sample rate 2147483648 outside"):
-            write_wav(io.BytesIO(), clip)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(AudioError, match="no such file"):

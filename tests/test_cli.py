@@ -185,6 +185,15 @@ class TestSweep:
         assert rc == 0
         assert out.read_text(encoding="utf-8") == "30\t2\n31\t2\n32\t2\n"
 
+    def test_lo_just_above_min_gap_runs(self, frames_file, tmp_path):
+        # this exited 1 with "got 0.2, 0.2": the grid value was rounded to 9 decimals before its check
+        out = tmp_path / "sweep.tsv"
+        rc = main(["sweep", "--transcripts", str(frames_file), "--lo", "0.2000000001", "--hi", "0.5",
+                   "--step", "0.1", "--min-gap", "0.2", "--out", str(out)])
+        assert rc == 0
+        assert [line.split("\t")[0] for line in out.read_text(encoding="utf-8").splitlines()] == [
+            "0.2", "0.3", "0.4", "0.5"]
+
     def test_huge_finite_grid_runs(self, frames_file, tmp_path):
         # this exited 1 with a bare "cannot convert float infinity to integer"
         out = tmp_path / "sweep.tsv"

@@ -1,9 +1,15 @@
 """Smoke tests: the command line runs end to end in a fresh interpreter."""
 
+import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
+
+from stforge.sampler import MANIFEST_COLUMNS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -41,11 +47,51 @@ def test_package_import_does_not_load_numpy():
     assert proc.stdout.strip() == "['stforge']"
 
 
-def test_segmenter_import_does_not_load_numpy():
-    # the gap search runs on Python lists and one regular expression
-    proc = _run("-c", "import stforge.segmenter, sys; print('numpy' in sys.modules)")
+# Every command starts in a fresh process, and numpy alone was about a third
+# of its set-up; audio, augment and evalign import it in the functions that
+# use it, and stforge.coupling loads for params-report only.
+_LOADED = ("; import sys; print(sorted(m for m in sys.modules"
+           " if m.split('.')[0] in ('numpy', 'tomllib') or m.startswith('stforge.')))")
+
+
+def _loaded_after(code, cwd=None):
+    """The numpy, tomllib and stforge.* modules loaded once code has run in a fresh interpreter."""
+    proc = _run("-c", code + _LOADED, cwd=cwd)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.strip() == "False"
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_start_up_loads_no_numpy():
+    # the benchmark's tracer reads each stage module from sys.modules, so cli still imports them all
+    loaded = _loaded_after("from stforge import cli, config; cli.build_parser(); config.load_config(None, {})")
+    assert loaded == [f"stforge.{m}" for m in ("audio", "augment", "cli", "config", "evalign", "ioutil", "sampler",
+                                               "segmenter", "textfilter")]
+
+
+@pytest.mark.parametrize("module", ["config", "audio", "augment", "evalign", "segmenter", "textfilter", "sampler"])
+def test_import_does_not_load_numpy(module):
+    loaded = _loaded_after(f"import stforge.{module}")
+    assert "numpy" not in loaded and "tomllib" not in loaded and "stforge.coupling" not in loaded, loaded
+
+
+def test_text_stages_run_without_numpy(tmp_path):
+    # segment, filter, sample and batch never touch audio samples
+    frames = json.dumps({"audio": "a.wav", "frame_ms": 100, "tokens": ["ja"] * 60 + [""] * 12 + ["ja"] * 60})
+    (tmp_path / "frames.jsonl").write_text(frames + "\n", encoding="utf-8")
+    rows = [("m0", "m0.wav", "16000", "3", "MuST-C-train", "Guten Morgen", "Good morning"),
+            ("m1", "m1.wav", "24000", "4", "MuST-C-train", "Das ist ein Test", "This is a test")]
+    (tmp_path / "manifest.tsv").write_text(
+        "".join("\t".join(row) + "\n" for row in [MANIFEST_COLUMNS, *rows]), encoding="utf-8")
+    (tmp_path / "hyps.tsv").write_text("m0\tguten morgen\nm1\tdas ist ein test\n", encoding="utf-8")
+    stages = [["segment", "--transcripts", "frames.jsonl", "--out", "segs.yaml"],
+              ["filter", "--manifest", "manifest.tsv", "--asr-hyps", "hyps.tsv", "--out", "kept.tsv",
+               "--report", "report.tsv"],
+              ["sample", "--manifest", "kept.tsv", "--out", "epoch.tsv"],
+              ["batch", "--in", "epoch.tsv", "--out", "batches.jsonl"]]
+    loaded = _loaded_after(f"from stforge.cli import main; assert [main(a) for a in {stages!r}] == [0, 0, 0, 0]",
+                           cwd=tmp_path)
+    assert "numpy" not in loaded, loaded
+    assert (tmp_path / "batches.jsonl").read_text(encoding="utf-8").count("m1") == 1
 
 
 def test_sweep_score_runs_without_pyyaml(tmp_path):

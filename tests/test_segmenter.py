@@ -250,6 +250,21 @@ class TestSweep:
         swept = sweep_max_seg_len([t], 1.0, 2.0, 0.25)
         assert sorted(swept) == [1.0, 1.25, 1.5, 1.75, 2.0]
 
+    def test_lo_just_above_min_gap_is_swept_as_given(self):
+        # each value was rounded to 9 decimals before its check: 0.2000000001 became 0.2 and was refused
+        swept = sweep_max_seg_len([], 0.2000000001, 1.0, 0.1, 0.2)
+        assert list(swept) == [0.2000000001, 0.3000000001, 0.4000000001, 0.5000000001, 0.6000000001,
+                               0.7000000001, 0.8000000001, 0.9000000001, 1.0000000001]  # the last within hi + 1e-9
+
+    def test_grid_ending_next_to_the_largest_float_runs(self):
+        # 1e308 + 8 * 1e307 is past the largest float; only values up to hi are converted
+        assert len(sweep_max_seg_len([], 1e308, 1.7e308, 1e307, min_gap=1e306)) == 8
+
+    def test_refused_lo_is_named_as_given(self):
+        # rounded first, 1e-300 was reported as 0.0
+        with pytest.raises(ValueError, match=r"^need finite max_seg_len > min_gap > 0, got 1e-300, 0\.2$"):
+            sweep_max_seg_len([], 1e-300, 1.0, 0.1, 0.2)
+
     def test_bad_grid(self):
         t = transcript(["a"] * 10)
         with pytest.raises(ValueError):
