@@ -11,6 +11,7 @@ success, 1 processing error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import logging
 import math
@@ -22,8 +23,9 @@ from . import config as config_mod
 from .audio import load_wav, write_wav
 from .augment import apply_augmentation, sample_params
 from .evalign import corpus_bleu, resegment_mwer, score_segmentation, tokenize_13a
-from .ioutil import atomic_write, is_plain_file_name, parse_rows, read_text, split_lines
-from .sampler import ManifestEntry, batch_stats, build_batches, epoch_sample, filter_lengths, read_manifest, write_manifest
+from .ioutil import atomic_write, is_plain_file_name, parse_rows, read_lines, read_text, split_lines
+from .sampler import (ManifestEntry, batch_stats, build_batches, epoch_sample, filter_lengths, manifest_line,
+                      manifest_rows, read_manifest, write_manifest)
 from .segmenter import (
     parse_frame_transcript,
     parse_segments_yaml,
@@ -72,35 +74,33 @@ def _hyp_row(line: str) -> tuple:
 
 
 def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
-    entries = read_text(args.manifest, read_manifest)
-    hyps = read_text(args.asr_hyps, lambda text: parse_rows(split_lines(text), _hyp_row))
+    hyps = read_lines(args.asr_hyps, lambda lines: dict(parse_rows(lines, _hyp_row)))
     lexicon = cfg.filter.event_lexicon
-    kept, dropped = [], []
-    for e in entries:
+    def keep_or_drop(e, line: str) -> bool:
         if e.id not in hyps:
-            raise ValueError(f"{args.asr_hyps}: no ASR hypothesis for manifest id {e.id!r}")
-        # text filters run first, then the length and WER gates judge the
-        # filtered pair; thousands separators are a EuroparlST quirk
+            raise ValueError(f"no ASR hypothesis for id {e.id!r} in {args.asr_hyps}")
+        # the length and WER gates judge the cleaned pair, the one written; thousands separators are a EuroparlST quirk
         fix = e.split.startswith("EuroparlST")
         src, tgt = clean_target(e.src_text, lexicon, fix), clean_target(e.tgt_text, lexicon, fix)
-        entry = ManifestEntry(e.id, e.audio, e.n_samples, e.n_tgt_tokens, e.split, src, tgt)
-        decision = filter_pair(entry, normalize_for_asr(hyps[e.id]), cfg.filter)
+        if src != e.src_text or tgt != e.tgt_text:  # an unchanged row is written back as its own line
+            e, line = ManifestEntry(e.id, e.audio, e.n_samples, e.n_tgt_tokens, e.split, src, tgt), None
+        decision = filter_pair(e, normalize_for_asr(hyps[e.id]), cfg.filter)
         if decision.keep:
-            kept.append(entry)
+            out.write(manifest_line(e) if line is None else line + "\n")
         else:
-            dropped.append((entry.id, decision.reason))
-    with atomic_write(args.out) as fh:
-        write_manifest(kept, fh)
-    with atomic_write(args.report) as fh:
-        for ident, reason in dropped:
-            fh.write(f"{ident}\t{reason}\n")
-    logger.info("kept %d of %d entries (%d dropped)", len(kept), len(entries), len(dropped))
+            report.write(f"{e.id}\t{decision.reason}\n")
+        return decision.keep
+
+    with atomic_write(args.out) as out, atomic_write(args.report) as report:
+        write_manifest((), out)  # the header; each kept row follows as it is judged
+        kept = read_lines(args.manifest, lambda lines: collections.Counter(manifest_rows(lines, keep_or_drop)))
+    logger.info("kept %d of %d entries (%d dropped)", kept[True], kept.total(), kept[False])
     return 0
 
 
 def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
     if args.input.endswith(".tsv"):
-        entries = read_text(args.input, read_manifest)
+        entries = read_lines(args.input, read_manifest)
         items = [(e.id, os.path.join(cfg.audio_root, e.audio)) for e in entries]
     else:
         stem = os.path.splitext(os.path.basename(args.input))[0]
@@ -135,7 +135,7 @@ def cmd_augment(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_sample(args, cfg: config_mod.PipelineConfig) -> int:
-    entries = read_text(args.manifest, read_manifest)
+    entries = read_lines(args.manifest, read_manifest)
     chosen = epoch_sample(entries, cfg.sampling, cfg.seed * EPOCH_SEED_STRIDE + args.epoch)
     with atomic_write(args.out) as fh:
         write_manifest(chosen, fh)
@@ -144,7 +144,7 @@ def cmd_sample(args, cfg: config_mod.PipelineConfig) -> int:
 
 
 def cmd_batch(args, cfg: config_mod.PipelineConfig) -> int:
-    entries = read_text(args.input, read_manifest)
+    entries = read_lines(args.input, read_manifest)
     usable = filter_lengths(entries, cfg.batch)
     if len(usable) < len(entries):
         logger.info("dropped %d over-length entries", len(entries) - len(usable))

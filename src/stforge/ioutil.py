@@ -1,13 +1,14 @@
 """File and line helpers shared by the pipeline commands.
 
-Every text input is read through :func:`read_text`, and every
-line-oriented format through :func:`parse_rows`, so an input error reads
-``path: line N: message`` whatever the format.
+Every text input is read through :func:`read_text` or :func:`read_lines`,
+and every line-oriented format through :func:`parse_rows`, so an input
+error reads ``path: line N: message`` whatever the format.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import tempfile
 
@@ -53,27 +54,41 @@ def split_lines(text: str) -> list[str]:
 def read_text(path, parse=str):
     """parse(text of path); an error in the text or its decoding starts with the path.
 
-    The file is read as strict UTF-8; a byte that does not decode is
-    reported as ``path: line N: invalid UTF-8 (...)``.
+    The file is read as strict UTF-8; a byte that does not decode reads ``path: line N: invalid UTF-8 (...)``.
     """
+    return _read(path, lambda fh: parse(fh.read()))
+
+
+def read_lines(path, parse):
+    """read_text, but parse gets an iterator over split_lines(text), read as it pulls: no text is held."""
+    return _read(path, lambda fh: parse(map(str.rstrip, fh, itertools.repeat("\n"))))  # at most one "\n" per line
+
+
+def _read(path, parse):
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse(fh.read())
-    except UnicodeDecodeError as exc:  # read() decodes the whole file: exc.object is all of it
-        lineno = exc.object[: exc.start].count(b"\n") + 1
-        raise ValueError(f"{path}: line {lineno}: invalid UTF-8 ({exc.reason} at byte {exc.start})") from None
+            return parse(fh)
+    except UnicodeDecodeError:  # its object may be one chunk: find the byte in the whole file
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data[: exc.start].count(b"\n") + 1
+            raise ValueError(f"{path}: line {lineno}: invalid UTF-8 ({exc.reason} at byte {exc.start})") from None
+        raise
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def parse_rows(lines, parse_row, start: int = 1) -> dict:
-    """{key: row} from ``parse_row(line) -> (key, row)`` on every non-empty line, in order.
+def parse_rows(lines, parse_row, start: int = 1):
+    """Yield ``parse_row(line) -> (key, row)`` for every non-empty line, in order.
 
     Only empty lines are skipped; a line of spaces goes to parse_row. The
     first line is numbered ``start``. A ValueError from parse_row, or a key
-    already seen on an earlier line, is raised as ``line N: message``.
+    already seen on an earlier line, is raised as ``line N: message`` on reaching it.
     """
-    rows, first_line = {}, {}
+    first_line = {}
     for lineno, line in enumerate(lines, start):
         if not line:
             continue
@@ -81,10 +96,10 @@ def parse_rows(lines, parse_row, start: int = 1) -> dict:
             key, row = parse_row(line)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if key in rows:
+        if key in first_line:
             raise ValueError(f"line {lineno}: duplicate id {key!r} (first on line {first_line[key]})")
-        rows[key], first_line[key] = row, lineno
-    return rows
+        first_line[key] = lineno
+        yield key, row
 
 
 def is_plain_file_name(name: str) -> bool:

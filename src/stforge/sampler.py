@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .ioutil import parse_rows, split_lines
+from .ioutil import parse_rows
 
 DEFAULT_RATIOS = {
     "MuST-C-train": 1.0,
@@ -22,6 +22,7 @@ DEFAULT_RATIOS = {
     "CoVoST-dev": 0.3,
 }
 TRAINING_SPLITS = tuple(DEFAULT_RATIOS)
+_SPLIT_NAMES = {name: name for name in TRAINING_SPLITS}  # every row shares one string per split
 
 MANIFEST_COLUMNS = ("id", "audio", "n_samples", "n_tgt_tokens", "split", "src_text", "tgt_text")
 
@@ -36,9 +37,9 @@ class ManifestEntry(collections.namedtuple("ManifestEntry", MANIFEST_COLUMNS)):
             raise ValueError(f"{id}: n_samples must be positive, got {n_samples}")
         if n_tgt_tokens < 0:
             raise ValueError(f"{id}: n_tgt_tokens must be >= 0, got {n_tgt_tokens}")
-        if split not in TRAINING_SPLITS:
+        if (name := _SPLIT_NAMES.get(split)) is None:
             raise ValueError(f"{id}: unknown split {split!r}")
-        return tuple.__new__(cls, (id, audio, n_samples, n_tgt_tokens, split, src_text, tgt_text))
+        return tuple.__new__(cls, (id, audio, n_samples, n_tgt_tokens, name, src_text, tgt_text))
 
 
 @dataclass(frozen=True)
@@ -171,37 +172,45 @@ def _count(text: str, column: str) -> int:
     raise ValueError(f"{column} must be a non-negative integer, got {text!r}")
 
 
-def _manifest_row(line: str) -> tuple:
+def _manifest_row(line: str, judge=None) -> tuple:
     parts = line.split("\t")
     if len(parts) != len(MANIFEST_COLUMNS):
         raise ValueError(f"expected {len(MANIFEST_COLUMNS)} fields, got {len(parts)}")
     ident, audio, n_samples, n_tgt_tokens, split, src_text, tgt_text = parts
-    return ident, ManifestEntry(ident, audio, _count(n_samples, "n_samples"),
-                                _count(n_tgt_tokens, "n_tgt_tokens"), split, src_text, tgt_text)
+    entry = ManifestEntry(ident, audio, _count(n_samples, "n_samples"), _count(n_tgt_tokens, "n_tgt_tokens"), split,
+                          src_text, tgt_text)
+    return ident, entry if judge is None else judge(entry, line)
 
 
-def read_manifest(text: str) -> list:
-    """Parse a tab-separated manifest with the standard header.
+def manifest_rows(lines, judge=None):
+    """Yield each row's entry from a manifest's lines, or judge(entry, the row's line) when judge is given.
 
-    Columns: id, audio, n_samples, n_tgt_tokens, split, src_text,
-    tgt_text. No quoting; fields must not contain tabs or line breaks,
-    and a line ends at a line feed only. Numbers are written as str(int)
-    writes them. Ids must be unique. Errors read ``line N: ...``, the
-    header's and an empty text's ``line 1: ...``.
+    Columns are MANIFEST_COLUMNS under that header: no quoting, no tab or line break in a field, numbers
+    as str(int) writes them, unique ids. Errors, judge's too, read ``line N: ...`` on reaching the line.
     """
-    lines = split_lines(text)
-    if not lines:
+    lines = iter(lines)
+    if (header := next(lines, None)) is None:
         raise ValueError("line 1: empty manifest: missing header")
-    if tuple(lines[0].split("\t")) != MANIFEST_COLUMNS:
-        raise ValueError(f"line 1: bad manifest header: {lines[0]!r}")
-    return list(parse_rows(lines[1:], _manifest_row, start=2).values())
+    if tuple(header.split("\t")) != MANIFEST_COLUMNS:
+        raise ValueError(f"line 1: bad manifest header: {header!r}")
+    yield from (entry for _, entry in parse_rows(lines, lambda line: _manifest_row(line, judge), start=2))
+
+
+def read_manifest(lines) -> list:
+    """The entries of a manifest's lines (see manifest_rows), as a list."""
+    return list(manifest_rows(lines))
+
+
+def manifest_line(e: ManifestEntry) -> str:
+    """One entry in the standard tab-separated layout, line feed included."""
+    line = "\t".join((e.id, e.audio, str(e.n_samples), str(e.n_tgt_tokens), e.split, e.src_text, e.tgt_text))
+    if line.count("\t") != len(MANIFEST_COLUMNS) - 1 or "\n" in line or "\r" in line:
+        raise ValueError(f"{e.id}: manifest fields must not contain tabs or line breaks")
+    return line + "\n"
 
 
 def write_manifest(entries: list, stream) -> None:
-    """Serialize entries in the standard tab-separated layout."""
+    """Serialize entries under the standard header; no entries write the header alone."""
     stream.write("\t".join(MANIFEST_COLUMNS) + "\n")
     for e in entries:
-        line = "\t".join((e.id, e.audio, str(e.n_samples), str(e.n_tgt_tokens), e.split, e.src_text, e.tgt_text))
-        if line.count("\t") != len(MANIFEST_COLUMNS) - 1 or "\n" in line or "\r" in line:
-            raise ValueError(f"{e.id}: manifest fields must not contain tabs or line breaks")
-        stream.write(line + "\n")
+        stream.write(manifest_line(e))

@@ -117,7 +117,7 @@ def parse_frame_transcript(stream: str) -> list[FrameTranscript]:
     with exactly those JSON types. Audio ids must be unique. Only empty
     lines are skipped; errors read ``line N: ...``.
     """
-    return list(parse_rows(split_lines(stream), _transcript_row).values())
+    return [row for _, row in parse_rows(split_lines(stream), _transcript_row)]
 
 
 def is_transcribable(token: str) -> bool:
@@ -364,4 +364,4 @@ def parse_segments_yaml(text: str) -> list[Segment]:
     YAML 1.1 types as a non-string and a second segment at the same (wav, offset)
     raise ``line N: ...``.
     """
-    return list(parse_rows(split_lines(text), _segment_row).values())
+    return [row for _, row in parse_rows(split_lines(text), _segment_row)]

@@ -218,12 +218,13 @@ def word_error_rate(hyp: list[str], ref: list[str]) -> float:
 
 
 def clean_target(sentence: str, lexicon: frozenset = DEFAULT_EVENT_LEXICON, fix_thousands: bool = False) -> str:
-    """Full target-side cleanup: speaker prefix, events, optional thousands fix."""
-    out = strip_speaker_prefix(sentence)
-    out = remove_events(out, lexicon)
-    if fix_thousands:
-        out = normalize_thousands(out)
-    return out
+    """Speaker prefixes, events, optional thousands fix, repeated until a pass changes nothing."""
+    while True:
+        out = remove_events(strip_speaker_prefix(sentence), lexicon)
+        out = normalize_thousands(out) if fix_thousands else out
+        if out == sentence:  # a pass that changes nothing returns its input object, so this is an identity check
+            return out
+        sentence = out
 
 
 def filter_pair(pair: TranscriptPair, asr_hyp: list[str], cfg: FilterConfig) -> FilterDecision:

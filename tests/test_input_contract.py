@@ -130,9 +130,10 @@ def test_hypotheses_via_filter(caplog, data):
         for name, content in ((manifest, MANIFEST), (path, data)):
             with open(name, "wb") as fh:
                 fh.write(content)
-        # a manifest id with no hypothesis has no line in the file that lacks it
+        # a manifest id with no hypothesis is named at its manifest line
+        missing = re.escape(f"{manifest}: ") + r"line \d+: no ASR hypothesis for id 'u\d' in " + re.escape(path) + "$"
         run_stage(caplog, ["filter", "--manifest", manifest, "--asr-hyps", path, "--out", outs[0],
-                           "--report", outs[1]], path, outs, prefix=r"(line \d+: |no ASR hypothesis for manifest id )")
+                           "--report", outs[1]], path, outs, other=missing)
 
 
 @FUZZ

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stforge.ioutil import split_lines
 from stforge.sampler import (
     DEFAULT_RATIOS,
     MANIFEST_COLUMNS,
@@ -234,7 +235,7 @@ class TestManifestIO:
         ]
         buf = io.StringIO()
         write_manifest(entries, buf)
-        assert read_manifest(buf.getvalue()) == entries
+        assert read_manifest(split_lines(buf.getvalue())) == entries
 
     field = st.text(st.characters(exclude_characters="\t\n\r"))  # any other code point, Unicode line breaks included
     rows = st.lists(
@@ -249,37 +250,37 @@ class TestManifestIO:
     def test_roundtrip_any_valid_rows(self, rows):
         buf = io.StringIO()
         write_manifest(rows, buf)
-        assert read_manifest(buf.getvalue()) == rows
+        assert read_manifest(split_lines(buf.getvalue())) == rows
 
     @pytest.mark.parametrize("value", ["0", "7", "10", "400000", "123456789012345678901234567890"])
     def test_canonical_numbers_read(self, value):
         row = ["u1", "a.wav", "1", value, "MuST-C-train", "x", "y"]
-        [e] = read_manifest("\t".join(MANIFEST_COLUMNS) + "\n" + "\t".join(row) + "\n")
+        [e] = read_manifest(split_lines("\t".join(MANIFEST_COLUMNS) + "\n" + "\t".join(row) + "\n"))
         assert e.n_tgt_tokens == int(value) and str(e.n_tgt_tokens) == value
 
     def test_header_required(self):
         with pytest.raises(ValueError, match="^line 1: bad manifest header"):
-            read_manifest("u1\ta.wav\t1\t1\tMuST-C-train\tx\ty\n")
+            read_manifest(split_lines("u1\ta.wav\t1\t1\tMuST-C-train\tx\ty\n"))
         with pytest.raises(ValueError, match="^line 1: empty manifest"):
-            read_manifest("")
+            read_manifest(split_lines(""))
 
     def test_errors_carry_line_numbers(self):
         text = "\t".join(
             ("id", "audio", "n_samples", "n_tgt_tokens", "split", "src_text", "tgt_text")
         )
         with pytest.raises(ValueError, match="line 2"):
-            read_manifest(text + "\nu1\ta.wav\tnot_a_number\t1\tMuST-C-train\tx\ty\n")
+            read_manifest(split_lines(text + "\nu1\ta.wav\tnot_a_number\t1\tMuST-C-train\tx\ty\n"))
         with pytest.raises(ValueError, match="line 3"):
-            read_manifest(
+            read_manifest(split_lines(
                 text
                 + "\nu1\ta.wav\t10\t1\tMuST-C-train\tx\ty\nu2\tshort\trow\n"
-            )
+            ))
 
     def test_duplicate_id_rejected_with_line_numbers(self):
         buf = io.StringIO()
         write_manifest([entry("u1"), entry("u2"), entry("u1")], buf)
         with pytest.raises(ValueError, match=r"^line 4: duplicate id 'u1' \(first on line 2\)$"):
-            read_manifest(buf.getvalue())
+            read_manifest(split_lines(buf.getvalue()))
 
     def test_tabs_in_fields_rejected_on_write(self):
         bad = ManifestEntry("u1", "a.wav", 1, 1, "MuST-C-train", "has\ttab", "y")
@@ -299,10 +300,10 @@ class TestManifestIO:
         ]
         buf = io.StringIO()
         write_manifest(entries, buf)
-        assert read_manifest(buf.getvalue()) == entries
+        assert read_manifest(split_lines(buf.getvalue())) == entries
 
     def test_blank_lines_skipped(self):
         entries = [entry("u1")]
         buf = io.StringIO()
         write_manifest(entries, buf)
-        assert read_manifest(buf.getvalue() + "\n\n") == entries
+        assert read_manifest(split_lines(buf.getvalue() + "\n\n")) == entries

@@ -267,6 +267,23 @@ class TestCleanTarget:
         assert clean_target("(Gelächter)") == ""
         assert clean_target("(Applaus) (Musik)") == ""
 
+    def test_strips_every_leading_speaker_marker(self):
+        # one pass strips "DG:" and exposes "CA:"
+        assert clean_target("DG: CA: Hallo") == "Hallo"
+
+    def test_stacked_markers_alone_empty(self):
+        assert clean_target("DG: CA:") == ""
+
+    PIECES = ["DG: ", "CA:", "Anna: ", "Bob:", "(Applaus)", "(Mann: ja)", "(", ")", " ", "10", " 000", "x y", "Hallo",
+              ".", ":"]
+
+    @given(st.lists(st.sampled_from(PIECES), max_size=12).map("".join), st.booleans())
+    @example("(10 000)", True)  # the joined "10,000" is one word, so the next pass deletes its group
+    @settings(max_examples=400, deadline=None)
+    def test_cleaning_cleaned_text_changes_nothing(self, text, fix):
+        once = clean_target(text, fix_thousands=fix)
+        assert clean_target(once, fix_thousands=fix) == once
+
 
 class TestFilterPair:
     CFG = FilterConfig()
