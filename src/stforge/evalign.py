@@ -14,8 +14,9 @@ mWER optimum is the edit distance between the hypothesis and the
 concatenated references, so aligning costs one run of R steps: O(R * H
 / w) digit operations, with w = 30 bits per CPython int digit.
 Resegmentation keeps its suffix costs as one column per segment, 2 bits
-a cell. A pair's WER runs the step over the pair's differing middle
-only, once the shared prefix and suffix are stripped.
+a cell, and finds each boundary by a walk over column bits that stops at
+the boundary. A pair's WER runs the step over the pair's differing
+middle only, once the shared prefix and suffix are stripped.
 
 A sweep scores many hypotheses against one reference set, so BLEU
 counts each distinct reference's n-grams once per process, cached on its
@@ -23,8 +24,7 @@ tokens, and clips a segment's matches by taking one from a copy of those
 counts for each hypothesis n-gram. The 13a rules are one str.translate
 pass plus two conditional regex passes: the period/comma substitutions
 run only on text holding a period or comma, the digit-dash one only on
-text holding a dash. numpy, which only boundary recovery uses, is
-imported there, so importing this module does not load it.
+text holding a dash.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 NGRAM_ORDER = 4
 
@@ -151,26 +147,6 @@ def _steps(eqs, mask: int, pv: int, mv: int) -> tuple[int, int]:
     return pv & mask, mv & mask
 
 
-def _bit_array(bits: int, lo: int, n: int) -> np.ndarray:
-    """Bits lo .. lo + n - 1 of bits as a 0/1 uint8 array."""
-    import numpy as np
-
-    raw = ((bits >> lo) & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
-
-
-def _column_values(top: int, pv: int, mv: int, lo: int, n: int) -> np.ndarray:
-    """Rows lo .. lo + n of the column (top, pv, mv), as int64."""
-    import numpy as np
-
-    below = (1 << lo) - 1
-    vals = np.empty(n + 1, dtype=np.int64)
-    vals[0] = top + (pv & below).bit_count() - (mv & below).bit_count()
-    vals[1:] = _bit_array(pv, lo, n)
-    vals[1:] -= _bit_array(mv, lo, n)
-    return np.cumsum(vals, out=vals)
-
-
 def word_edit_distance(a: list, b: list) -> int:
     """Word-level Levenshtein distance between two token sequences.
 
@@ -252,12 +228,10 @@ def resegment_mwer(hyp_words: list, ref_segments: list) -> list:
     Cost: one reversed run of bit-parallel steps, one per reference
     word over the H-bit hypothesis, O(R * H / w) digit operations for R
     reference words, then a forward run per boundary over the window
-    where it can fall. The suffix costs are kept as one (top, pv, mv)
-    column per segment, 2 bits a cell; each distinct hypothesis word
-    that some reference holds adds one H-bit set.
+    where it can fall, walked to its first optimal end. Suffix costs are
+    one (top, pv, mv) column per segment, 2 bits a cell; each distinct
+    hypothesis word that some reference holds adds one H-bit set.
     """
-    import numpy as np
-
     hyp, refs, vocab = _align_keys(hyp_words, ref_segments)
     nhyp = len(hyp)
     # suffix[s][m]: the min cost of assigning the last m words to segments s, s+1, ...
@@ -272,18 +246,24 @@ def resegment_mwer(hyp_words: list, ref_segments: list) -> list:
         # a later end cannot be optimal: dist >= k - len(ref), suffix >= 0
         n = min(nhyp - start, len(ref) + total - used)
         window = (1 << n) - 1
-        # dist[k] = edit distance of hyp[start:start+k] vs ref
+        # row k of (len(ref), pv, mv): the edit distance of hyp[start:start+k] vs ref
         pv, mv = _steps(((bits.get(w, 0) >> start) & window for w in ref), window, window, 0)
-        dist = _column_values(len(ref), pv, mv, 0, n)
-        # the first end e whose split stays optimal: used + dist + suffix(e, s+1)
-        after = _column_values(*suffix[s + 1], nhyp - start - n, n)[::-1]
-        hits = np.flatnonzero(used + dist + after == total)
-        if not hits.size:  # unreachable if the DP is consistent
-            raise AssertionError("boundary recovery failed")
-        end = start + int(hits[0])
-        groups.append(list(hyp_words[start:end]))
-        used += int(dist[end - start])
-        start = end
+        # suffix[s + 1] at rows nhyp-start-n .. nhyp-start, the cost of the words after an end at k = n .. 0
+        top, after_pv, after_mv = suffix[s + 1]
+        lo, rows = nhyp - start - n, (1 << nhyp - start) - 1
+        after = top + (after_pv & rows).bit_count() - (after_mv & rows).bit_count()
+        after_pv, after_mv = after_pv >> lo & window, after_mv >> lo & window
+        # the first end k whose split stays optimal: each step moves dist down and after up a row
+        k, dist = 0, len(ref)
+        while used + dist + after != total:
+            if k == n:  # unreachable if the DP is consistent
+                raise AssertionError("boundary recovery failed")
+            dist += (pv >> k & 1) - (mv >> k & 1)
+            after -= (after_pv >> n - 1 - k & 1) - (after_mv >> n - 1 - k & 1)
+            k += 1
+        groups.append(list(hyp_words[start:start + k]))
+        used += dist
+        start += k
     # with no segment left, the last one takes every remaining word
     groups.append(list(hyp_words[start:]))
     return groups

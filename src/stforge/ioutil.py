@@ -18,7 +18,8 @@ def atomic_write(path, mode: str = "w", encoding=None):
     """Write to a temp file in the target directory, then rename over path.
 
     Readers never observe a half-written artifact, and a rerun that
-    produces identical bytes leaves an identical file.
+    produces identical bytes leaves an identical file. The file gets the
+    mode a plain open would give it, 0o666 less the umask, not mkstemp's 0o600.
     """
     if "r" in mode or "a" in mode or "+" in mode:
         raise ValueError(f"atomic_write only supports fresh writes, got mode {mode!r}")
@@ -30,6 +31,9 @@ def atomic_write(path, mode: str = "w", encoding=None):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-" + os.path.basename(path) + "-")
     try:
         with os.fdopen(fd, mode, encoding=encoding) as fh:
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            os.chmod(fd, 0o666 & ~umask)
             yield fh
         os.replace(tmp, path)
     except BaseException:

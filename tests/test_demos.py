@@ -48,8 +48,8 @@ def test_package_import_does_not_load_numpy():
 
 
 # Every command starts in a fresh process, and numpy alone was about a third
-# of its set-up; audio, augment and evalign import it in the functions that
-# use it, and stforge.coupling loads for params-report only.
+# of its set-up; audio and augment import it in the functions that use it,
+# evalign not at all, and stforge.coupling loads for params-report only.
 _LOADED = ("; import sys; print(sorted(m for m in sys.modules"
            " if m.split('.')[0] in ('numpy', 'tomllib') or m.startswith('stforge.')))")
 
@@ -95,7 +95,8 @@ def test_text_stages_run_without_numpy(tmp_path):
 
 
 def test_sweep_score_runs_without_pyyaml(tmp_path):
-    # PyYAML is a test dependency only: reading and scoring segment YAML must not import it
+    # PyYAML is a test dependency only: reading and scoring segment YAML must not import it;
+    # resegmenting works on Python ints, so neither scoring stage loads numpy
     (tmp_path / "segs").mkdir()
     (tmp_path / "trans").mkdir()
     (tmp_path / "segs" / "max_seg_len_5.yaml").write_text(
@@ -103,10 +104,13 @@ def test_sweep_score_runs_without_pyyaml(tmp_path):
         "- {duration: 2.000000, offset: 1.000000, speaker_id: \"spk 1\", wav: ted_1.wav}\n", encoding="utf-8")
     (tmp_path / "trans" / "max_seg_len_5.txt").write_text("das ist\ngut so\n", encoding="utf-8")
     (tmp_path / "ref.txt").write_text("das ist\ngut so\n", encoding="utf-8")
+    (tmp_path / "hyp.txt").write_text("das ist gut so\n", encoding="utf-8")
+    stages = [["score", "--hyp", "hyp.txt", "--ref", "ref.txt", "--resegment"],
+              ["sweep-score", "--segdir", "segs", "--trans", "trans", "--ref", "ref.txt", "--out", "c.tsv"]]
     code = ("import sys; from stforge.cli import main; "
-            "rc = main(['sweep-score', '--segdir', 'segs', '--trans', 'trans', '--ref', 'ref.txt', '--out', 'c.tsv']); "
-            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'yaml'))")
+            f"rc = [main(a) for a in {stages!r}]; "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'yaml')))")
     proc = _run("-c", code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.strip() == "0 []"
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
     assert (tmp_path / "c.tsv").read_text(encoding="utf-8").startswith("5\t")

@@ -222,6 +222,12 @@ class TestResegment:
         st.lists(st.sampled_from("abc"), min_size=12, max_size=40),
         st.lists(st.lists(st.sampled_from("abc"), max_size=8), min_size=1, max_size=6),
     )
+    # the boundary walk's edges: it stops at once (an empty group), or at
+    # the window's last end k = n, where n is cut by the hypothesis end
+    # (segment 1) or by len(ref) + total - used (segment 0)
+    @example(hyp=list("abababababab"), refs=[["c"], list("abababab"), list("abab")])
+    @example(hyp=list("aaaaaaaaaaaa"), refs=[list("aaaaaaaa"), list("aaaa"), ["c"]])
+    @example(hyp=list("aab") + ["c"] * 9, refs=[list("ab"), ["c"] * 8, ["c"]])
     @settings(max_examples=60, deadline=None)
     def test_matches_boundary_dp_oracle_at_mid_size(self, hyp, refs):
         # sizes beyond mwer_exhaustive's reach; a 3-word vocabulary makes ties common

@@ -1,14 +1,16 @@
-"""The shared readers: read_lines hands out the lines of read_text's text, with the same errors."""
+"""The shared readers and writer: read_lines hands out the lines of read_text's text, with the same
+errors, and atomic_write leaves the file a plain open would."""
 
 import os
 import re
+import stat
 import tempfile
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from stforge.ioutil import parse_rows, read_lines, read_text, split_lines
+from stforge.ioutil import atomic_write, parse_rows, read_lines, read_text, split_lines
 
 # line ends of every kind, the Unicode breaks that end no line here, and
 # multi-byte characters for an invalid byte to land inside
@@ -88,3 +90,23 @@ def test_parse_rows_streams_up_to_the_bad_line():
     assert next(rows) == ("b", "2")
     with pytest.raises(ValueError, match=r"^line 4: duplicate id 'a' \(first on line 1\)$"):
         next(rows)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+@pytest.mark.parametrize("mode", ["w", "wb"])
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask, mode):
+    data = "x" if mode == "w" else b"x"
+    (tmp_path / "atomic").write_text("old", encoding="utf-8")
+    os.chmod(tmp_path / "atomic", 0o600)  # the file replaced does not set the mode
+    old_umask = os.umask(umask)
+    try:
+        with atomic_write(tmp_path / "atomic", mode) as fh:
+            fh.write(data)
+        with open(tmp_path / "plain", mode) as fh:
+            fh.write(data)
+        assert os.umask(umask) == umask  # and the umask is left as it was
+    finally:
+        os.umask(old_umask)
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("atomic", "plain")]
+    assert modes == [0o666 & ~umask] * 2
+    assert (tmp_path / "atomic").read_bytes() == b"x"
