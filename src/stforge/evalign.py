@@ -147,14 +147,9 @@ def _steps(eqs, mask: int, pv: int, mv: int) -> tuple[int, int]:
     return pv & mask, mv & mask
 
 
-def word_edit_distance(a: list, b: list) -> int:
-    """Word-level Levenshtein distance between two token sequences.
-
-    A shared prefix or suffix never changes the distance (Ukkonen,
-    1985), so both are stripped first and the kernel runs over the
-    differing middles only: one bit-parallel step per word of the
-    shorter middle, over a bit set as long as the longer one.
-    """
+def strip_shared_ends(a: list, b: list) -> tuple[list, list]:
+    """a and b without their shared prefix and suffix, which never change
+    the edit distance (Ukkonen, 1985)."""
     lo = 0
     for x, y in zip(a, b):
         if x != y:
@@ -164,7 +159,17 @@ def word_edit_distance(a: list, b: list) -> int:
     while end_a > lo and end_b > lo and a[end_a - 1] == b[end_b - 1]:
         end_a -= 1
         end_b -= 1
-    a, b = a[lo:end_a], b[lo:end_b]
+    return a[lo:end_a], b[lo:end_b]
+
+
+def word_edit_distance(a: list, b: list) -> int:
+    """Word-level Levenshtein distance between two token sequences.
+
+    The kernel runs over the differing middles left by strip_shared_ends
+    only: one bit-parallel step per word of the shorter middle, over a
+    bit set as long as the longer one.
+    """
+    a, b = strip_shared_ends(a, b)
     if not a or not b:
         return len(a) + len(b)
     if len(a) < len(b):
@@ -348,16 +353,19 @@ def corpus_bleu(hyp_segments: list, ref_segments: list) -> BleuScore:
 def score_segmentation(segments: list, translations: list, refs: list) -> BleuScore:
     """BLEU of per-segment translations against reference segments.
 
-    Translations are concatenated in (wav, offset) order so the
-    candidate segmentation's boundaries drop out, re-split against the
-    references by resegment_mwer, and scored. refs are 13a-tokenized
-    reference segments.
+    Translations are concatenated talk by talk, in the order each wav
+    first appears in segments, and by offset within a talk, so the
+    candidate segmentation's boundaries drop out; the stream is re-split
+    against the references by resegment_mwer, and scored. refs are
+    13a-tokenized reference segments, assumed to list the talks in the
+    candidate's talk order: the order segment and sweep write them.
     """
     if len(segments) != len(translations):
         raise ValueError(
             f"{len(segments)} segments but {len(translations)} translations"
         )
-    order = sorted(range(len(segments)), key=lambda i: (segments[i].wav, segments[i].offset))
+    talk = {wav: k for k, wav in enumerate(dict.fromkeys(s.wav for s in segments))}
+    order = sorted(range(len(segments)), key=lambda i: (talk[segments[i].wav], segments[i].offset))
     hyp_tokens = []
     for i in order:
         hyp_tokens.extend(tokenize_13a(translations[i]))

@@ -12,7 +12,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .evalign import word_edit_distance
+from .evalign import strip_shared_ends, word_edit_distance
 
 DEFAULT_EVENT_LEXICON = frozenset({"Gelächter", "Applaus", "Musik", "Video", "Beifall"})
 
@@ -227,6 +227,22 @@ def clean_target(sentence: str, lexicon: frozenset = DEFAULT_EVENT_LEXICON, fix_
         sentence = out
 
 
+def _greedy_distance(hyp: list, ref: list) -> int:
+    """An upper bound on the edit distance: the cost of one greedy left-to-right edit script."""
+    nh, nr = len(hyp), len(ref)
+    i = j = cost = 0
+    while i < nh and j < nr:
+        if hyp[i] != ref[j]:
+            cost += 1
+            if i + 1 < nh and hyp[i + 1] == ref[j]:  # insert hyp[i]: ref[j] waits
+                j -= 1
+            elif j + 1 < nr and ref[j + 1] == hyp[i]:  # delete ref[j]: hyp[i] waits
+                i -= 1
+        i += 1  # a match or a substitution moves both
+        j += 1
+    return cost + nh - i + nr - j  # each leftover word costs one
+
+
 def filter_pair(pair: TranscriptPair, asr_hyp: list[str], cfg: FilterConfig) -> FilterDecision:
     """Keep/drop decision for one training pair.
 
@@ -235,12 +251,20 @@ def filter_pair(pair: TranscriptPair, asr_hyp: list[str], cfg: FilterConfig) -> 
     duration cap, empty-after-filtering target, ASR WER strictly above
     the threshold. A source that normalizes to no words cannot be
     verified against the hypothesis and is dropped under the WER reason.
+
+    The WER gate is exact, yet it runs word_error_rate only when two
+    bounds on the distance between the differing middles leave it open:
+    their length difference below, the greedy script above. Float
+    division is monotone, so a bound that settles it gives the same answer.
     """
     if pair.n_samples > cfg.max_samples:
         return _DROP[DROP_TOO_LONG]
     if not clean_target(pair.tgt_text, cfg.event_lexicon).strip():
         return _DROP[DROP_EMPTY]
     ref = normalize_for_asr(pair.src_text)
-    if not ref or word_error_rate(asr_hyp, ref) > cfg.wer_threshold:
+    hyp_mid, ref_mid = strip_shared_ends(asr_hyp, ref)
+    if not ref or abs(len(hyp_mid) - len(ref_mid)) / len(ref) > cfg.wer_threshold:
         return _DROP[DROP_WER]
-    return _KEEP
+    if _greedy_distance(hyp_mid, ref_mid) / len(ref) <= cfg.wer_threshold:
+        return _KEEP
+    return _DROP[DROP_WER] if word_error_rate(asr_hyp, ref) > cfg.wer_threshold else _KEEP

@@ -2,11 +2,15 @@
 
 import argparse
 import json
+import os
 import random
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stforge.audio import AudioClip, load_wav, write_wav
 from stforge.cli import EPOCH_SEED_STRIDE, build_parser, main
@@ -420,6 +424,67 @@ class TestFilterAtScale:
         ])
         assert rc == 1
         assert not out.exists() and not report.exists()
+
+
+def run_filter(entries, hyp_lines):
+    """Run the filter stage over entries; (header, kept rows, report rows), rows by id in output order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, hyps = os.path.join(tmp, "m.tsv"), os.path.join(tmp, "h.tsv")
+        out, report = os.path.join(tmp, "kept.tsv"), os.path.join(tmp, "report.tsv")
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.write(manifest_text(entries))
+        with open(hyps, "w", encoding="utf-8") as fh:
+            fh.write("".join(hyp_lines))
+        assert main(["filter", "--manifest", manifest, "--asr-hyps", hyps, "--max-samples", "20000",
+                     "--out", out, "--report", report]) == 0
+        with open(out, encoding="utf-8") as fh:
+            header, *kept = fh.read().splitlines(keepends=True)
+        with open(report, encoding="utf-8") as fh:
+            dropped = fh.read().splitlines(keepends=True)
+    return header, [(line.split("\t", 1)[0], line) for line in kept], [(line.split("\t", 1)[0], line) for line in dropped]
+
+
+@st.composite
+def filter_row(draw, ident):
+    """One manifest entry and its hypothesis line; every outcome is likely."""
+    words = TestFilterAtScale.WORDS
+    src = " ".join(draw(st.lists(st.sampled_from(words), max_size=8))) + draw(st.sampled_from(TestFilterAtScale.SRC_EXTRAS))
+    entry = ManifestEntry(ident, f"{ident}.wav", draw(st.sampled_from([8000, 16000, 20000, 24000])), 3,
+                          draw(st.sampled_from(["MuST-C-train", "EuroparlST-train"])), src,
+                          draw(st.sampled_from(TestFilterAtScale.TARGETS)))
+    hyp = [draw(st.sampled_from([w, w, w, "zeug", ""])) for w in normalize_for_asr(src)]  # substitutions, deletions
+    hyp = " ".join(w for w in hyp if w)
+    return entry, f"{ident}\t{hyp}\n"
+
+
+filter_rows = st.integers(1, 10).flatmap(lambda n: st.tuples(*(filter_row(f"u{i}") for i in range(n))))
+
+
+class TestFilterRelations:
+    """Each row's decision and bytes depend on that row alone."""
+
+    @given(filter_rows, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_permuting_rows_permutes_kept_and_report_rows_alike(self, rows, data):
+        perm = data.draw(st.permutations(range(len(rows))))
+        header, kept, dropped = run_filter(*zip(*rows))
+        moved = [rows[i] for i in perm]
+        ids = [entry.id for entry, _ in moved]
+        header2, kept2, dropped2 = run_filter(*zip(*moved))
+        assert header2 == header
+        assert kept2 == sorted(kept, key=lambda row: ids.index(row[0]))
+        assert dropped2 == sorted(dropped, key=lambda row: ids.index(row[0]))
+
+    @given(filter_rows, filter_row("new"), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_row_with_a_new_id_leaves_every_other_row_alone(self, rows, new, data):
+        at = data.draw(st.integers(0, len(rows)))
+        header, kept, dropped = run_filter(*zip(*rows))
+        header2, kept2, dropped2 = run_filter(*zip(*rows[:at], new, *rows[at:]))
+        assert header2 == header
+        assert [row for row in kept2 if row[0] != "new"] == kept
+        assert [row for row in dropped2 if row[0] != "new"] == dropped
+        assert len(kept2) + len(dropped2) == len(rows) + 1
 
 
 class TestMemory:
@@ -896,6 +961,74 @@ class TestSweepScore:
             "--ref", str(tmp_path / "ref.txt"), "--out", str(tmp_path / "o.tsv"),
         ])
         assert rc == 1
+
+
+SWEEP_WORDS = "guten morgen meine damen und herren wie geht es euch".split()
+
+
+@st.composite
+def sweep_talks(draw):
+    """2-4 talks, each (reference lines, {swept value: translations}).
+
+    A talk's translations are its reference words, two of them perhaps
+    replaced, cut into segments at points drawn anew for each value.
+    """
+    talks = []
+    for _ in range(draw(st.integers(2, 4))):
+        refs = draw(st.lists(st.lists(st.sampled_from(SWEEP_WORDS), min_size=4, max_size=6).map(" ".join),
+                             min_size=1, max_size=3))
+        words = " ".join(refs).split()
+        for i in draw(st.sets(st.integers(0, len(words) - 1), max_size=2)):
+            words[i] = "falsch"
+        cuts = {value: sorted(draw(st.sets(st.integers(1, len(words) - 1), max_size=3))) for value in (5, 10)}
+        talks.append((refs, {value: [" ".join(words[a:b]) for a, b in zip([0, *c], [*c, len(words)])]
+                             for value, c in cuts.items()}))
+    return talks
+
+
+def sweep_curve(talks, wavs, perms=None):
+    """curve.tsv of sweep-score over talks named wavs, the segment lines
+    of talk k at value v in the order perms[k, v] (default: by offset)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        segdir, transdir = os.path.join(tmp, "segs"), os.path.join(tmp, "trans")
+        os.mkdir(segdir)
+        os.mkdir(transdir)
+        for value in (5, 10):
+            segments, translations = [], []
+            for k, (wav, (_, by_value)) in enumerate(zip(wavs, talks)):
+                chunks = by_value[value]
+                for i in (perms or {}).get((k, value), range(len(chunks))):
+                    segments.append(Segment(wav, float(i), 1.0, "spk"))
+                    translations.append(chunks[i] + "\n")
+            with open(os.path.join(segdir, f"max_seg_len_{value}.yaml"), "w", encoding="utf-8") as fh:
+                fh.write(write_segments_yaml(segments))
+            with open(os.path.join(transdir, f"max_seg_len_{value}.txt"), "w", encoding="utf-8") as fh:
+                fh.write("".join(translations))
+        ref, out = os.path.join(tmp, "ref.txt"), os.path.join(tmp, "curve.tsv")
+        with open(ref, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for refs, _ in talks for line in refs))
+        assert main(["sweep-score", "--segdir", segdir, "--trans", transdir, "--ref", ref, "--out", out]) == 0
+        with open(out, "rb") as fh:
+            return fh.read()
+
+
+class TestSweepScoreRelations:
+    """The curve depends on the talks' order in the candidate, not on their names or line order."""
+
+    @given(sweep_talks(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_injective_wav_rename_leaves_the_curve_unchanged(self, talks, data):
+        names = st.lists(st.integers(0, 10_000).map(lambda n: f"talk{n}.wav"), min_size=len(talks),
+                         max_size=len(talks), unique=True)
+        assert sweep_curve(talks, data.draw(names)) == sweep_curve(talks, data.draw(names))
+
+    @given(sweep_talks(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_shuffling_lines_within_a_talk_leaves_the_curve_unchanged(self, talks, data):
+        wavs = [f"talk{10 - k}.wav" for k in range(len(talks))]
+        perms = {(k, value): data.draw(st.permutations(range(len(chunks))))
+                 for k, (_, by_value) in enumerate(talks) for value, chunks in by_value.items()}
+        assert sweep_curve(talks, wavs, perms) == sweep_curve(talks, wavs)
 
 
 class TestParamsReport:

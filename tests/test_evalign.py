@@ -15,6 +15,7 @@ from stforge.evalign import (
     corpus_bleu,
     resegment_mwer,
     score_segmentation,
+    strip_shared_ends,
     tokenize_13a,
     word_edit_distance,
 )
@@ -293,6 +294,19 @@ class TestWordEditDistances:
         assert word_edit_distance(["a", "x", "c"], ["a", "b", "c", "d"]) == 2
         assert word_edit_distance([], []) == 0
 
+    @given(words, words)
+    @settings(max_examples=300, deadline=None)
+    def test_stripped_middles_keep_the_distance_and_differ_at_both_ends(self, a, b):
+        mid_a, mid_b = strip_shared_ends(a, b)
+        assert edit_distance(mid_a, mid_b) == edit_distance(a, b)
+        if mid_a and mid_b:
+            assert mid_a[0] != mid_b[0] and mid_a[-1] != mid_b[-1]
+        # what was taken off is one prefix and one suffix that a and b share
+        cut = len(a) - len(mid_a)
+        assert len(b) - len(mid_b) == cut
+        assert any(a[:lo] == b[:lo] and a[lo + len(mid_a):] == b[lo + len(mid_b):]
+                   and a[lo:lo + len(mid_a)] == mid_a and b[lo:lo + len(mid_b)] == mid_b for lo in range(cut + 1))
+
 
 class TestCorpusBleu:
     def test_identity_scores_100(self):
@@ -426,6 +440,24 @@ class TestScoreSegmentation:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             score_segmentation([Segment("a.wav", 0.0, 1.0, "a")], ["x", "y"], self.REFS)
+
+    def test_talks_follow_the_candidates_order_not_the_string_order_of_wav_names(self):
+        # talk2 comes first in the references and the candidate, but
+        # "talk10.wav" < "talk2.wav" as strings: sorting by name paired
+        # each talk's words with the other talk's references
+        refs = [["guten", "morgen", "meine", "damen"], ["wie", "geht", "es", "euch", "heute"],
+                ["das", "wetter", "ist", "heute", "schön"], ["wir", "sehen", "uns", "morgen", "wieder"]]
+        segments = [Segment("talk2.wav", 0.0, 2.0, "a"), Segment("talk2.wav", 2.0, 2.0, "a"),
+                    Segment("talk10.wav", 0.0, 2.0, "b"), Segment("talk10.wav", 2.0, 2.0, "b")]
+        translations = [" ".join(ref) for ref in refs]
+        assert score_segmentation(segments, translations, refs).score == 100.0
+        # the order of first appearance sets the talk order, offsets the order within a talk
+        shuffled = [3, 0, 2, 1]
+        result = score_segmentation([segments[i] for i in shuffled], [translations[i] for i in shuffled], refs)
+        assert result.score < 100.0
+        reordered = [0, 3, 2, 1]
+        result = score_segmentation([segments[i] for i in reordered], [translations[i] for i in reordered], refs)
+        assert result.score == 100.0
 
 
 class TestEditDistanceOracleSelfCheck:

@@ -1,13 +1,16 @@
 """Transcript cleanup, ASR-style normalization, WER, and the keep/drop gate."""
 
+import math
 import random
 import re
+import string
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stforge import textfilter
+from stforge.evalign import strip_shared_ends
 from stforge.textfilter import (
     DEFAULT_EVENT_LEXICON,
     DROP_EMPTY,
@@ -25,6 +28,7 @@ from stforge.textfilter import (
     word_error_rate,
 )
 
+from oracles import edit_distance
 from oracles import remove_events as remove_events_oracle
 from oracles import wer as wer_oracle
 
@@ -333,6 +337,61 @@ class TestFilterPair:
         p = TranscriptPair("utt", 100, "25 cats!", "fünfundzwanzig Katzen")
         decision = filter_pair(p, ["twenty", "five", "cats"], self.CFG)
         assert decision.keep
+
+
+def gate_thresholds(ref_len):
+    """Thresholds where a bound could tip the gate: k / len(ref), the floats
+    either side of it, any float, and inf."""
+    exact = st.integers(0, ref_len + 2).map(lambda k: k / ref_len)
+    return st.one_of(
+        exact,
+        exact.map(lambda t: math.nextafter(t, 0.0)),
+        exact.map(lambda t: math.nextafter(t, math.inf)),
+        st.floats(0.0, 4.0),
+        st.just(math.inf),
+    ).filter(lambda t: t > 0)
+
+
+class TestWerGate:
+    """filter_pair decides the WER gate from two bounds and runs the kernel only when they leave it open."""
+
+    words = st.lists(st.sampled_from("abc"), max_size=10)
+
+    @given(words, words.filter(bool).flatmap(lambda ref: st.tuples(st.just(ref), gate_thresholds(len(ref)))))
+    @settings(max_examples=1000, deadline=None)
+    @example(["a", "x", "y", "d"], (["a", "b", "c", "d"], 0.5))  # WER exactly at the threshold
+    def test_decision_equals_oracle(self, hyp, ref_and_threshold):
+        ref, t = ref_and_threshold
+        decision = filter_pair(TranscriptPair("p", 1, " ".join(ref), "x"), hyp, FilterConfig(wer_threshold=t))
+        assert decision.keep == (not wer_oracle(hyp, ref) > t)
+        assert decision.reason == (None if decision.keep else DROP_WER)
+
+    @given(words, words)
+    @settings(max_examples=500, deadline=None)
+    def test_bounds_enclose_the_distance(self, hyp, ref):
+        mid_hyp, mid_ref = strip_shared_ends(hyp, ref)
+        lower, upper = abs(len(mid_hyp) - len(mid_ref)), textfilter._greedy_distance(mid_hyp, mid_ref)
+        assert lower <= edit_distance(hyp, ref) <= upper <= max(len(mid_hyp), len(mid_ref))
+
+    def test_kernel_runs_for_few_pairs_at_15_percent_errors(self, monkeypatch):
+        # each reference word is substituted, deleted or followed by an
+        # inserted word with 5 % probability each
+        rng = random.Random(26)
+        vocab = ["".join(rng.choice(string.ascii_lowercase) for _ in range(4)) for _ in range(40)]
+        calls = []
+        kernel = textfilter.word_error_rate
+        monkeypatch.setattr(textfilter, "word_error_rate", lambda hyp, ref: calls.append(1) or kernel(hyp, ref))
+        decisions = []
+        for i in range(2000):
+            ref = [rng.choice(vocab) for _ in range(rng.randint(3, 30))]
+            hyp = []
+            for w in ref:
+                u = rng.random()
+                hyp += [rng.choice(vocab)] if u < 0.05 else [] if u < 0.1 else [w, rng.choice(vocab)] if u < 0.15 else [w]
+            pair = TranscriptPair(f"p{i}", 1, " ".join(ref), "x")
+            decisions.append(filter_pair(pair, hyp, FilterConfig()).keep == (not wer_oracle(hyp, ref) > 0.5))
+        assert all(decisions)
+        assert len(calls) < 0.15 * len(decisions)
 
 
 class TestDefaults:
