@@ -12,10 +12,9 @@ from __future__ import annotations
 import numbers
 import os
 import struct
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .ioutil import atomic_write
+from .ioutil import atomic_write, record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,21 +49,22 @@ def _positive_int(name: str, value) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class AudioClip:
-    """Mono waveform with amplitudes in [-1, 1] and a fixed sample rate, a positive int."""
+class AudioClip(record("AudioClip", "samples sample_rate")):
+    """Mono waveform with amplitudes in [-1, 1] and a fixed sample rate, a positive int.
 
-    samples: np.ndarray
-    sample_rate: int
+    ``len()`` is the sample count, not the number of fields.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, samples, sample_rate):
         import numpy as np
 
-        object.__setattr__(self, "sample_rate", _positive_int("sample_rate", self.sample_rate))
-        arr = np.asarray(self.samples)
+        sample_rate = _positive_int("sample_rate", sample_rate)
+        arr = np.asarray(samples)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
-        object.__setattr__(self, "samples", _as_readonly(arr))
+        return tuple.__new__(cls, (_as_readonly(arr), sample_rate))
 
     @property
     def duration(self) -> float:
@@ -73,6 +73,9 @@ class AudioClip:
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    def __getnewargs__(self):  # for pickle and copy: namedtuple's tuple(self) would size a buffer by len()
+        return self.samples, self.sample_rate
 
 
 def load_wav(path) -> AudioClip:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .audio import AudioClip, _sinc_resample
+from .ioutil import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,19 +38,18 @@ LIMITS = {
 }
 
 
-@dataclass(frozen=True)
-class AugmentPolicy:
+class AugmentPolicy(
+    record("AugmentPolicy", "p_aug tempo_range pitch_range_cents echo_delay_ms_range echo_decay_range")
+):
     """Ranges for the three effects plus the per-clip augmentation rate."""
 
-    p_aug: float = 0.8
-    tempo_range: tuple = (0.85, 1.3)
-    pitch_range_cents: tuple = (-300.0, 300.0)
-    echo_delay_ms_range: tuple = (20.0, 200.0)
-    echo_decay_range: tuple = (0.05, 0.2)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.p_aug <= 1.0:
-            raise ValueError(f"p_aug must be in [0, 1], got {self.p_aug}")
+    def __new__(cls, p_aug=0.8, tempo_range=(0.85, 1.3), pitch_range_cents=(-300.0, 300.0),
+                echo_delay_ms_range=(20.0, 200.0), echo_decay_range=(0.05, 0.2)):
+        if not 0.0 <= p_aug <= 1.0:
+            raise ValueError(f"p_aug must be in [0, 1], got {p_aug}")
+        self = tuple.__new__(cls, (p_aug, tempo_range, pitch_range_cents, echo_delay_ms_range, echo_decay_range))
         # uniform() can return either end, so both ends must suit the effect
         for name, (legal, within) in LIMITS.items():
             lo, hi = getattr(self, name)
@@ -58,14 +57,13 @@ class AugmentPolicy:
                 raise ValueError(f"{name}: min {lo} exceeds max {hi}")
             if not (within(lo) and within(hi)):
                 raise ValueError(f"{name} must lie within {legal}, got ({lo}, {hi})")
+        return self
 
 
-@dataclass(frozen=True)
-class EffectParams:
-    tempo: float
-    pitch_cents: float
-    echo_delay_ms: float
-    echo_decay: float
+class EffectParams(record("EffectParams", "tempo pitch_cents echo_delay_ms echo_decay")):
+    """One clip's drawn effect parameters."""
+
+    __slots__ = ()
 
 
 def sample_params(policy: AugmentPolicy, rng: random.Random):

@@ -9,12 +9,10 @@ command-line flags override both.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import math
-from dataclasses import dataclass, field
 
 from .augment import AugmentPolicy
-from .ioutil import read_text
+from .ioutil import read_text, record
 from .sampler import BatchSpec, SamplingSpec
 from .segmenter import SegmentationConfig
 from .textfilter import FilterConfig
@@ -48,17 +46,21 @@ def _set(data: dict, section: str, key: str, value, source: str) -> None:
     table[key] = value
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Typed view of the whole pipeline's knobs with their defaults."""
+# each PipelineConfig field that holds a spec, and the spec's type
+_SPECS = {"segmentation": SegmentationConfig, "filter": FilterConfig, "augment_policy": AugmentPolicy,
+         "sampling": SamplingSpec, "batch": BatchSpec}
 
-    segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
-    filter: FilterConfig = field(default_factory=FilterConfig)
-    augment_policy: AugmentPolicy = field(default_factory=AugmentPolicy)
-    sampling: SamplingSpec = field(default_factory=SamplingSpec)
-    batch: BatchSpec = field(default_factory=BatchSpec)
-    audio_root: str = "."
-    seed: int = 0
+
+class PipelineConfig(record("PipelineConfig", (*_SPECS, "audio_root", "seed"))):
+    """Typed view of the whole pipeline's knobs with their defaults; a spec left out is built afresh."""
+
+    __slots__ = ()
+
+    def __new__(cls, segmentation=None, filter=None, augment_policy=None, sampling=None, batch=None,
+                audio_root=".", seed=0):
+        given = (segmentation, filter, augment_policy, sampling, batch)
+        specs = [make() if spec is None else spec for spec, make in zip(given, _SPECS.values())]
+        return tuple.__new__(cls, (*specs, audio_root, seed))
 
 
 def _table(value, name: str) -> dict:
@@ -177,11 +179,10 @@ def config_from_dict(data: dict) -> PipelineConfig:
         if key in tables.get(section, {}):
             owner, _, attr = target.rpartition(".")
             changes.setdefault(owner, {})[attr] = kind.check(tables[section].pop(key), name)
-    defaults = PipelineConfig()
     fields = changes.pop("", {})
     for owner, values in changes.items():
-        fields[owner] = dataclasses.replace(getattr(defaults, owner), **values)
-    config = dataclasses.replace(defaults, **fields)
+        fields[owner] = _SPECS[owner](**values)
+    config = PipelineConfig(**fields)
 
     leftovers = [f"{section}.{k}" for section, table in tables.items() for k in table]
     leftovers.extend(str(k) for k in data if k not in tables)

@@ -16,11 +16,10 @@ import logging
 import math
 import os
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write, is_plain_file_name, read_text
+from .ioutil import atomic_write, is_plain_file_name, read_text, record
 
 logger = logging.getLogger(__name__)
 
@@ -55,18 +54,13 @@ def _layer_norm_backward(grad_ln: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
     return grad_x, grad_gain, grad_bias
 
 
-@dataclass(frozen=True)
-class AdapterParams:
+class AdapterParams(record("AdapterParams", "ln_gain ln_bias w_up b_up w_down b_down")):
     """Residual bottleneck-in-reverse block: LN -> up -> ReLU -> down."""
 
-    ln_gain: np.ndarray
-    ln_bias: np.ndarray
-    w_up: np.ndarray
-    b_up: np.ndarray
-    w_down: np.ndarray
-    b_down: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, ln_gain, ln_bias, w_up, b_up, w_down, b_down):
+        self = tuple.__new__(cls, (ln_gain, ln_bias, w_up, b_up, w_down, b_down))
         d, h = self.dim, self.hidden_dim
         expected = {
             "ln_gain": (d,),
@@ -80,6 +74,7 @@ class AdapterParams:
             got = np.shape(getattr(self, name))
             if got != shape:
                 raise ValueError(f"{name}: expected shape {shape}, got {got}")
+        return self
 
     @property
     def dim(self) -> int:
@@ -102,7 +97,7 @@ class AdapterParams:
         )
 
     def n_params(self) -> int:
-        return sum(np.size(getattr(self, f)) for f in ("ln_gain", "ln_bias", "w_up", "b_up", "w_down", "b_down"))
+        return sum(np.size(a) for a in self)
 
 
 def adapter_param_count(dim: int = MODEL_DIM, hidden_dim: int = ADAPTER_DIM) -> int:
@@ -149,22 +144,21 @@ def adapter_backward(x: np.ndarray, p: AdapterParams, grad_out: np.ndarray):
     return grad_x, grad_p
 
 
-@dataclass(frozen=True)
-class LengthAdaptorParams:
-    """Three kernel-3, stride-2, padding-1 convolutions over time."""
+class LengthAdaptorParams(record("LengthAdaptorParams", "kernels biases")):
+    """Three kernel-3, stride-2, padding-1 convolutions over time: kernels each (d_out, d_in, 3), biases (d_out,)."""
 
-    kernels: tuple  # each (d_out, d_in, 3)
-    biases: tuple  # each (d_out,)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.kernels) != 3 or len(self.biases) != 3:
+    def __new__(cls, kernels, biases):
+        if len(kernels) != 3 or len(biases) != 3:
             raise ValueError("length adaptor has exactly 3 layers")
-        for i, (k, b) in enumerate(zip(self.kernels, self.biases)):
+        for i, (k, b) in enumerate(zip(kernels, biases)):
             k, b = np.asarray(k), np.asarray(b)
             if k.ndim != 3 or k.shape[2] != 3:
                 raise ValueError(f"layer {i}: kernel must be (d_out, d_in, 3), got {k.shape}")
             if b.shape != (k.shape[0],):
                 raise ValueError(f"layer {i}: bias shape {b.shape} does not match kernel {k.shape}")
+        return tuple.__new__(cls, (kernels, biases))
 
     @property
     def dim(self) -> int:
@@ -248,30 +242,31 @@ def feature_mask(x: np.ndarray, n_spans: int, max_span: float, rng: np.random.Ge
     return out
 
 
-@dataclass(frozen=True)
-class ParamEntry:
-    name: str
-    shape: tuple
-    trainable: bool = False
+class ParamEntry(record("ParamEntry", "name shape trainable", defaults=(False,))):
+    """One named parameter tensor's shape, and whether fine-tuning trains it."""
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return int(np.prod(self.shape))
 
 
-@dataclass(frozen=True)
-class ParamInventory:
-    entries: tuple
+class ParamInventory(record("ParamInventory", "entries")):
+    """A model's parameter entries, names unique."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    __slots__ = ()
+
+    def __new__(cls, entries):
+        entries = tuple(entries)
         seen = set()
-        for e in self.entries:
+        for e in entries:
             if e.name in seen:
                 raise ValueError(f"duplicate parameter name {e.name!r}")
             seen.add(e.name)
             if not e.shape or any(dim < 1 for dim in e.shape):
                 raise ValueError(f"{e.name}: bad shape {e.shape}")
+        return tuple.__new__(cls, (entries,))
 
     def total_params(self) -> int:
         return sum(e.size for e in self.entries)
@@ -484,27 +479,24 @@ def read_checkpoint(path) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class TriStageConfig:
-    total_steps: int
-    base_lr: float = 1e-4
-    ratios: tuple = (0.15, 0.15, 0.7)
-    init_scale: float = 0.01
-    final_scale: float = 0.01
+class TriStageConfig(record("TriStageConfig", "total_steps base_lr ratios init_scale final_scale")):
+    """Warm-up, hold and decay of the learning rate: phase ratios of total_steps, scales of base_lr."""
 
-    def __post_init__(self):
-        if self.total_steps <= 0:
-            raise ValueError(f"total_steps must be positive, got {self.total_steps}")
-        if len(self.ratios) != 3 or any(r < 0 for r in self.ratios):
-            raise ValueError(f"need 3 nonnegative phase ratios, got {self.ratios}")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError(f"phase ratios must sum to 1, got {self.ratios}")
-        for name in ("init_scale", "final_scale"):
-            scale = getattr(self, name)
+    __slots__ = ()
+
+    def __new__(cls, total_steps, base_lr=1e-4, ratios=(0.15, 0.15, 0.7), init_scale=0.01, final_scale=0.01):
+        if not total_steps > 0:  # also rejects nan
+            raise ValueError(f"total_steps must be positive, got {total_steps}")
+        if len(ratios) != 3 or not all(r >= 0 for r in ratios):
+            raise ValueError(f"need 3 nonnegative phase ratios, got {ratios}")
+        if abs(sum(ratios) - 1.0) > 1e-9:
+            raise ValueError(f"phase ratios must sum to 1, got {ratios}")
+        for name, scale in (("init_scale", init_scale), ("final_scale", final_scale)):
             if not 0 < scale <= 1:
                 raise ValueError(f"{name} must be in (0, 1], got {scale}")
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if not base_lr > 0:
+            raise ValueError(f"base_lr must be positive, got {base_lr}")
+        return tuple.__new__(cls, (total_steps, base_lr, ratios, init_scale, final_scale))
 
 
 def tri_stage_lr(step: int, cfg: TriStageConfig) -> float:

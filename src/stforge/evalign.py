@@ -35,22 +35,17 @@ import math
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass
 from types import MappingProxyType
+
+from .ioutil import record
 
 NGRAM_ORDER = 4
 
 
-@dataclass(frozen=True)
-class BleuScore:
+class BleuScore(record("BleuScore", "score precisions brevity_penalty hyp_len ref_len empty_hyp", defaults=(False,))):
     """Corpus BLEU with its components; precisions are ratios in [0, 1]."""
 
-    score: float
-    precisions: tuple
-    brevity_penalty: float
-    hyp_len: int
-    ref_len: int
-    empty_hyp: bool = False
+    __slots__ = ()
 
 
 # mteval-13a's first rule pads [{-~[-` -&(-+:-@/] with spaces: every ASCII

@@ -1,16 +1,29 @@
-"""File and line helpers shared by the pipeline commands.
+"""File, line and record helpers shared by the pipeline commands.
 
 Every text input is read through :func:`read_text` or :func:`read_lines`,
 and every line-oriented format through :func:`parse_rows`, so an input
-error reads ``path: line N: message`` whatever the format.
+error reads ``path: line N: message`` whatever the format. Every record
+type is built on :func:`record`.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import os
 import tempfile
+
+
+def record(name: str, fields, defaults=None) -> type:
+    """A named-tuple base for a record class, whose own ``__new__`` may check and coerce its fields.
+
+    namedtuple's ``_make``, and so ``_replace``, would build with ``tuple.__new__`` and skip those
+    checks; here ``_make`` calls the class, so every way of building a record runs them.
+    """
+    base = collections.namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 @contextlib.contextmanager

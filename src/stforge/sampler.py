@@ -7,12 +7,10 @@ batches. Everything is deterministic given the epoch seed.
 
 from __future__ import annotations
 
-import collections
 import math
 import random
-from dataclasses import dataclass, field
 
-from .ioutil import parse_rows
+from .ioutil import parse_rows, record
 
 DEFAULT_RATIOS = {
     "MuST-C-train": 1.0,
@@ -27,46 +25,47 @@ _SPLIT_NAMES = {name: name for name in TRAINING_SPLITS}  # every row shares one 
 MANIFEST_COLUMNS = ("id", "audio", "n_samples", "n_tgt_tokens", "split", "src_text", "tgt_text")
 
 
-class ManifestEntry(collections.namedtuple("ManifestEntry", MANIFEST_COLUMNS)):
+class ManifestEntry(record("ManifestEntry", MANIFEST_COLUMNS)):
     """One training example's bookkeeping row: a named tuple, checked when built."""
 
     __slots__ = ()
 
     def __new__(cls, id, audio, n_samples, n_tgt_tokens, split, src_text="", tgt_text=""):
-        if n_samples <= 0:
+        if not n_samples > 0:  # also rejects nan
             raise ValueError(f"{id}: n_samples must be positive, got {n_samples}")
-        if n_tgt_tokens < 0:
+        if not n_tgt_tokens >= 0:
             raise ValueError(f"{id}: n_tgt_tokens must be >= 0, got {n_tgt_tokens}")
         if (name := _SPLIT_NAMES.get(split)) is None:
             raise ValueError(f"{id}: unknown split {split!r}")
         return tuple.__new__(cls, (id, audio, n_samples, n_tgt_tokens, name, src_text, tgt_text))
 
 
-@dataclass(frozen=True)
-class SamplingSpec:
-    ratios: dict = field(default_factory=lambda: dict(DEFAULT_RATIOS))
+class SamplingSpec(record("SamplingSpec", "ratios")):
+    """Each split's sampling ratio; left out, a fresh copy of DEFAULT_RATIOS."""
 
-    def __post_init__(self):
-        for split, ratio in self.ratios.items():
+    __slots__ = ()
+
+    def __new__(cls, ratios=None):
+        ratios = dict(DEFAULT_RATIOS) if ratios is None else ratios
+        for split, ratio in ratios.items():
             if not 0 < ratio <= 1:
                 raise ValueError(f"ratio for {split} must be in (0, 1], got {ratio}")
+        return tuple.__new__(cls, (ratios,))
 
 
-@dataclass(frozen=True)
-class BatchSpec:
-    max_batch_samples: int = 440000
-    max_src_samples: int = 400000
-    max_tgt_tokens: int = 1024
+class BatchSpec(record("BatchSpec", "max_batch_samples max_src_samples max_tgt_tokens")):
+    """Caps on a batch's summed samples and on one entry's samples and target tokens."""
 
-    def __post_init__(self):
-        for name in ("max_batch_samples", "max_src_samples", "max_tgt_tokens"):
-            if (value := getattr(self, name)) <= 0:
+    __slots__ = ()
+
+    def __new__(cls, max_batch_samples=440000, max_src_samples=400000, max_tgt_tokens=1024):
+        self = tuple.__new__(cls, (max_batch_samples, max_src_samples, max_tgt_tokens))
+        for name, value in zip(self._fields, self):
+            if not value > 0:  # also rejects nan
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.max_src_samples > self.max_batch_samples:
-            raise ValueError(
-                f"max_src_samples {self.max_src_samples} exceeds "
-                f"max_batch_samples {self.max_batch_samples}"
-            )
+        if max_src_samples > max_batch_samples:
+            raise ValueError(f"max_src_samples {max_src_samples} exceeds max_batch_samples {max_batch_samples}")
+        return self
 
 
 def _sample_count(ratio: float, n: int) -> int:

@@ -18,31 +18,27 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 
-from .ioutil import parse_rows, split_lines
+from .ioutil import parse_rows, record, split_lines
 
 LETTER_RE = re.compile(r"[A-Za-z]")
 MAX_FRAME_MS = 60_000  # a minute per frame; any frame step an ASR model emits is far below it
 MAX_SWEEP_STEPS = 10_000  # steps of one sweep's grid loop; 5-25 s by 1 s, the paper's sweep, takes 21
 
 
-@dataclass(frozen=True)
-class FrameTranscript:
+class FrameTranscript(record("FrameTranscript", "audio_id frame_ms tokens")):
     """Per-file sequence of ASR token predictions at a fixed frame step."""
 
-    audio_id: str
-    frame_ms: int
-    tokens: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.frame_ms > 0:
-            raise ValueError(f"{self.audio_id}: frame_ms must be positive, got {self.frame_ms}")
-        if self.frame_ms > MAX_FRAME_MS:  # a huge one would overflow float seconds when segmenting
-            raise ValueError(f"{self.audio_id}: frame_ms must be at most {MAX_FRAME_MS}, got {self.frame_ms}")
-        if not self.tokens:
-            raise ValueError(f"{self.audio_id}: empty transcript")
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+    def __new__(cls, audio_id, frame_ms, tokens):
+        if not frame_ms > 0:
+            raise ValueError(f"{audio_id}: frame_ms must be positive, got {frame_ms}")
+        if frame_ms > MAX_FRAME_MS:  # a huge one would overflow float seconds when segmenting
+            raise ValueError(f"{audio_id}: frame_ms must be at most {MAX_FRAME_MS}, got {frame_ms}")
+        if not tokens:
+            raise ValueError(f"{audio_id}: empty transcript")
+        return tuple.__new__(cls, (audio_id, frame_ms, tuple(tokens)))
 
     @property
     def duration(self) -> float:
@@ -50,40 +46,34 @@ class FrameTranscript:
         return len(self.tokens) * self.frame_ms / 1000.0
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(record("Gap", "start_frame num_frames")):
     """Maximal run of untranscribable frames."""
 
-    start_frame: int
-    num_frames: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(record("Segment", "wav offset duration speaker_id")):
     """One (wav, offset, duration) unit of a segmentation, in seconds."""
 
-    wav: str
-    offset: float
-    duration: float
-    speaker_id: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.offset < math.inf:  # also rejects nan
-            raise ValueError(f"offset must be finite and non-negative, got {self.offset}")
-        if not 0 < self.duration < math.inf:
-            raise ValueError(f"duration must be finite and positive, got {self.duration}")
+    def __new__(cls, wav, offset, duration, speaker_id):
+        if not 0 <= offset < math.inf:  # also rejects nan
+            raise ValueError(f"offset must be finite and non-negative, got {offset}")
+        if not 0 < duration < math.inf:
+            raise ValueError(f"duration must be finite and positive, got {duration}")
+        return tuple.__new__(cls, (wav, offset, duration, speaker_id))
 
 
-@dataclass(frozen=True)
-class SegmentationConfig:
-    max_seg_len: float = 22.0
-    min_gap: float = 0.2
+class SegmentationConfig(record("SegmentationConfig", "max_seg_len min_gap")):
+    """The segment-length cap and the shortest gap worth splitting at, in seconds."""
 
-    def __post_init__(self):
-        if not math.inf > self.max_seg_len > self.min_gap > 0:  # also rejects nan
-            raise ValueError(
-                f"need finite max_seg_len > min_gap > 0, got {self.max_seg_len}, {self.min_gap}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, max_seg_len=22.0, min_gap=0.2):
+        if not math.inf > max_seg_len > min_gap > 0:  # also rejects nan
+            raise ValueError(f"need finite max_seg_len > min_gap > 0, got {max_seg_len}, {min_gap}")
+        return tuple.__new__(cls, (max_seg_len, min_gap))
 
 
 def _transcript_row(line: str) -> tuple:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 
 from .evalign import strip_shared_ends, word_edit_distance
+from .ioutil import record
 
 DEFAULT_EVENT_LEXICON = frozenset({"Gelächter", "Applaus", "Musik", "Video", "Beifall"})
 
@@ -37,38 +37,34 @@ _NON_ASR_CHAR_RE = re.compile(r"[^a-z0-9' ]")
 _DIGITS_RE = re.compile(r"[0-9][0-9]*")
 
 
-@dataclass(frozen=True)
-class TranscriptPair:
+class TranscriptPair(record("TranscriptPair", "id n_samples src_text tgt_text")):
     """One training example: source audio stats plus its texts."""
 
-    id: str
-    n_samples: int
-    src_text: str
-    tgt_text: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_samples < 0:
-            raise ValueError(f"{self.id}: negative n_samples")
+    def __new__(cls, id, n_samples, src_text, tgt_text):
+        if not n_samples >= 0:  # also rejects nan
+            raise ValueError(f"{id}: negative n_samples")
+        return tuple.__new__(cls, (id, n_samples, src_text, tgt_text))
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    event_lexicon: frozenset = DEFAULT_EVENT_LEXICON
-    wer_threshold: float = 0.5
-    max_samples: int = 400000
+class FilterConfig(record("FilterConfig", "event_lexicon wer_threshold max_samples")):
+    """The event lexicon, the ASR-WER threshold and the source-sample cap of the three rules."""
 
-    def __post_init__(self):
-        if not self.wer_threshold > 0:  # also rejects nan, which no WER would exceed
-            raise ValueError(f"wer_threshold must be positive, got {self.wer_threshold}")
-        if self.max_samples <= 0:
-            raise ValueError(f"max_samples must be positive, got {self.max_samples}")
-        object.__setattr__(self, "event_lexicon", frozenset(self.event_lexicon))
+    __slots__ = ()
+
+    def __new__(cls, event_lexicon=DEFAULT_EVENT_LEXICON, wer_threshold=0.5, max_samples=400000):
+        if not wer_threshold > 0:  # also rejects nan, which no WER would exceed
+            raise ValueError(f"wer_threshold must be positive, got {wer_threshold}")
+        if not max_samples > 0:  # also rejects nan, which no sample count would exceed
+            raise ValueError(f"max_samples must be positive, got {max_samples}")
+        return tuple.__new__(cls, (frozenset(event_lexicon), wer_threshold, max_samples))
 
 
-@dataclass(frozen=True)
-class FilterDecision:
-    keep: bool
-    reason: str | None = None
+class FilterDecision(record("FilterDecision", "keep reason", defaults=(None,))):
+    """Whether a pair is kept, and the drop reason when it is not."""
+
+    __slots__ = ()
 
 
 _KEEP = FilterDecision(True)

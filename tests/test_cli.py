@@ -1,6 +1,8 @@
 """End-to-end behavior of every subcommand through cli.main()."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from stforge.audio import AudioClip, load_wav, write_wav
 from stforge.cli import EPOCH_SEED_STRIDE, build_parser, main
 from stforge.config import config_from_dict
-from stforge.ioutil import read_lines, read_text
+from stforge.ioutil import read_lines, read_text, split_lines
 from stforge.sampler import ManifestEntry, SamplingSpec, epoch_sample, read_manifest, write_manifest
 from stforge.segmenter import Segment, parse_segments_yaml, write_segments_yaml
 from stforge.textfilter import FilterConfig, TranscriptPair, clean_target, filter_pair, normalize_for_asr
@@ -1029,6 +1031,130 @@ class TestSweepScoreRelations:
         perms = {(k, value): data.draw(st.permutations(range(len(chunks))))
                  for k, (_, by_value) in enumerate(talks) for value, chunks in by_value.items()}
         assert sweep_curve(talks, wavs, perms) == sweep_curve(talks, wavs)
+
+
+@st.composite
+def frame_talks(draw, min_size=1):
+    """1-4 frame transcripts with distinct ids: runs of speech and silence, long enough to split under 1-4 s caps."""
+    runs = st.lists(st.tuples(st.sampled_from(["ja", "", "ja"]), st.integers(1, 15)), min_size=1, max_size=10)
+    n = draw(st.integers(min_size, 4))
+    return [(f"talk{k}.wav", draw(st.sampled_from([20, 40, 100])),
+             [token for token, length in draw(runs) for _ in range(length)]) for k in range(n)]
+
+
+def segment_outputs(talks):
+    """(segment's YAML at a 2 s cap, sweep's counts TSV over caps 1-4 s, {file name: text} of sweep's YAMLs)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        frames, yaml, counts, segdir = (os.path.join(tmp, name) for name in ("f.jsonl", "s.yaml", "c.tsv", "segs"))
+        with open(frames, "w", encoding="utf-8") as fh:
+            fh.write("".join(jsonl_line(audio, tokens, frame_ms) + "\n" for audio, frame_ms, tokens in talks))
+        assert main(["segment", "--transcripts", frames, "--max-seg-len", "2", "--out", yaml]) == 0
+        assert main(["sweep", "--transcripts", frames, "--lo", "1", "--hi", "4", "--out", counts,
+                     "--seg-dir", segdir]) == 0
+        swept = {name: read_text(os.path.join(segdir, name)) for name in sorted(os.listdir(segdir))}
+        return read_text(yaml), read_text(counts), swept
+
+
+class TestSegmentRelations:
+    """A talk's segments depend on that talk alone, and its id only names them."""
+
+    @given(frame_talks(min_size=2), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_talks_a_then_b_give_a_then_b(self, talks, data):
+        at = data.draw(st.integers(1, len(talks) - 1))
+        yaml, counts, swept = segment_outputs(talks)
+        yaml_a, counts_a, swept_a = segment_outputs(talks[:at])
+        yaml_b, counts_b, swept_b = segment_outputs(talks[at:])
+        assert yaml == yaml_a + yaml_b
+        assert swept.keys() == swept_a.keys() == swept_b.keys()
+        assert all(swept[name] == swept_a[name] + swept_b[name] for name in swept)
+        rows, rows_a, rows_b = ([line.split("\t") for line in split_lines(c)] for c in (counts, counts_a, counts_b))
+        assert [value for value, _ in rows] == [value for value, _ in rows_a] == [value for value, _ in rows_b]
+        assert [int(n) for _, n in rows] == [int(a) + int(b) for (_, a), (_, b) in zip(rows_a, rows_b)]
+
+    @given(frame_talks(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_injective_id_rename_changes_only_wav_and_speaker(self, talks, data):
+        names = st.tuples(st.text(st.sampled_from("ab9 ._-/é"), min_size=1, max_size=6),
+                          st.sampled_from([".wav", ".flac", ""])).map("".join)
+        new_ids = data.draw(st.lists(names, min_size=len(talks), max_size=len(talks), unique=True))
+        rename = {audio: new for (audio, _, _), new in zip(talks, new_ids)}
+        before = segment_outputs(talks)
+        after = segment_outputs([(rename[audio], frame_ms, tokens) for audio, frame_ms, tokens in talks])
+        assert after[1] == before[1]  # the counts
+        assert after[2].keys() == before[2].keys()
+        for old_text, new_text in [(before[0], after[0]), *((before[2][n], after[2][n]) for n in before[2])]:
+            old, new = parse_segments_yaml(old_text), parse_segments_yaml(new_text)
+            assert [rename[s.wav] for s in old] == [s.wav for s in new]
+            assert len({(s.wav, s.speaker_id) for s in new}) == len({s.wav for s in new})  # one speaker per id
+            # every byte but the two fields' is the old file's
+            assert write_segments_yaml([s._replace(wav=n.wav, speaker_id=n.speaker_id) for s, n in zip(old, new)]) \
+                == new_text
+
+
+def augment_outputs(rows, seed=7):
+    """{file name: bytes} that augment writes for manifest rows [(id, seconds, tone Hz)] of 8 kHz tones."""
+    with tempfile.TemporaryDirectory() as tmp:
+        audio, out, manifest = (os.path.join(tmp, name) for name in ("audio", "out", "m.tsv"))
+        os.mkdir(audio)
+        for ident, seconds, freq in rows:
+            tone_wav(os.path.join(audio, f"{ident}.wav"), freq=freq, seconds=seconds, rate=8000)
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.write(manifest_text([ManifestEntry(ident, f"{ident}.wav", 8000, 2, "MuST-C-train", "a", "b")
+                                    for ident, _, _ in rows]))
+        assert main(["--seed", str(seed), "augment", "--in", manifest, "--p-aug", "0.7", "--audio-root", audio,
+                     "--out", out]) == 0
+        files = {}
+        for name in os.listdir(out):
+            with open(os.path.join(out, name), "rb") as fh:
+                files[name] = fh.read()
+        return files
+
+
+clip_rows = st.lists(st.tuples(st.sampled_from(["u0", "u1", "u2", "u3", "x"]), st.sampled_from([0.1, 0.25]),
+                               st.sampled_from([220.0, 440.0, 1000.0])), min_size=1, max_size=3,
+                     unique_by=lambda row: row[0])
+
+
+class TestAugmentRelations:
+    """A clip's draw and bytes depend on its id and seed alone."""
+
+    @given(clip_rows, st.tuples(st.just("new"), st.sampled_from([0.1, 0.25]), st.sampled_from([300.0, 500.0])),
+           st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_a_row_with_a_new_id_leaves_every_other_clip_alone(self, rows, new, data):
+        at = data.draw(st.integers(0, len(rows)))
+        before = augment_outputs(rows)
+        after = augment_outputs([*rows[:at], new, *rows[at:]])
+        log = after.pop("augment_log.tsv").decode().splitlines(keepends=True)
+        assert [line for line in log if not line.startswith("new\t")] == \
+            before.pop("augment_log.tsv").decode().splitlines(keepends=True)
+        assert after.pop("new.wav") and after == before
+
+
+def score_line(pairs):
+    """score's BLEU line for (hypothesis, reference) line pairs, without --resegment."""
+    with tempfile.TemporaryDirectory() as tmp:
+        hyp, ref = os.path.join(tmp, "hyp.txt"), os.path.join(tmp, "ref.txt")
+        for path, lines in ((hyp, [h for h, _ in pairs]), (ref, [r for _, r in pairs])):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["score", "--hyp", hyp, "--ref", ref]) == 0
+        return buf.getvalue()
+
+
+score_pairs = st.lists(st.tuples(*[st.lists(st.sampled_from(SWEEP_WORDS + ["falsch", "."]), min_size=size,
+                                             max_size=8).map(" ".join) for size in (0, 1)]), min_size=1, max_size=8)
+
+
+class TestScoreRelations:
+    @given(score_pairs, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_permuting_line_pairs_leaves_the_bleu_line_unchanged(self, pairs, data):
+        perm = data.draw(st.permutations(pairs))
+        assert score_line(perm) == score_line(pairs)
 
 
 class TestParamsReport:

@@ -50,19 +50,22 @@ def test_package_import_does_not_load_numpy():
 # Every command starts in a fresh process, and numpy alone was about a third
 # of its set-up; audio and augment import it in the functions that use it,
 # evalign not at all, and stforge.coupling loads for params-report only.
+# Records are named tuples, so dataclasses, and the inspect it imports, stay
+# unloaded too: together they were about a sixth of the rest.
 _LOADED = ("; import sys; print(sorted(m for m in sys.modules"
-           " if m.split('.')[0] in ('numpy', 'tomllib') or m.startswith('stforge.')))")
+           " if m.split('.')[0] in ('numpy', 'tomllib', 'dataclasses', 'inspect') or m.startswith('stforge.')))")
 
 
 def _loaded_after(code, cwd=None):
-    """The numpy, tomllib and stforge.* modules loaded once code has run in a fresh interpreter."""
+    """The numpy, tomllib, dataclasses, inspect and stforge.* modules loaded after code runs in a fresh interpreter."""
     proc = _run("-c", code + _LOADED, cwd=cwd)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
 
 
 def test_cli_start_up_loads_no_numpy():
-    # the benchmark's tracer reads each stage module from sys.modules, so cli still imports them all
+    # the benchmark's tracer reads each stage module from sys.modules, so cli still imports them all;
+    # no numpy, dataclasses or inspect is among them
     loaded = _loaded_after("from stforge import cli, config; cli.build_parser(); config.load_config(None, {})")
     assert loaded == [f"stforge.{m}" for m in ("audio", "augment", "cli", "config", "evalign", "ioutil", "sampler",
                                                "segmenter", "textfilter")]
@@ -72,6 +75,12 @@ def test_cli_start_up_loads_no_numpy():
 def test_import_does_not_load_numpy(module):
     loaded = _loaded_after(f"import stforge.{module}")
     assert "numpy" not in loaded and "tomllib" not in loaded and "stforge.coupling" not in loaded, loaded
+    assert "dataclasses" not in loaded, loaded
+
+
+def test_coupling_import_does_not_load_dataclasses():
+    # numpy itself loads inspect, so only dataclasses is asserted here
+    assert "dataclasses" not in _loaded_after("import stforge.coupling")
 
 
 def test_text_stages_run_without_numpy(tmp_path):
