@@ -84,7 +84,7 @@ def cmd_filter(args, cfg: config_mod.PipelineConfig) -> int:
         src, tgt = clean_target(e.src_text, lexicon, fix), clean_target(e.tgt_text, lexicon, fix)
         if src != e.src_text or tgt != e.tgt_text:  # an unchanged row is written back as its own line
             e, line = ManifestEntry(e.id, e.audio, e.n_samples, e.n_tgt_tokens, e.split, src, tgt), None
-        decision = filter_pair(e, normalize_for_asr(hyps[e.id]), cfg.filter)
+        decision = filter_pair(e, normalize_for_asr(hyps[e.id]), cfg.filter, target_cleaned=True)
         if decision.keep:
             out.write(manifest_line(e) if line is None else line + "\n")
         else:

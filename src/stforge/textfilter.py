@@ -239,13 +239,14 @@ def _greedy_distance(hyp: list, ref: list) -> int:
     return cost + nh - i + nr - j  # each leftover word costs one
 
 
-def filter_pair(pair: TranscriptPair, asr_hyp: list[str], cfg: FilterConfig) -> FilterDecision:
+def filter_pair(pair: TranscriptPair, asr_hyp: list[str], cfg: FilterConfig, *, target_cleaned=False) -> FilterDecision:
     """Keep/drop decision for one training pair.
 
     A pair is any object with n_samples, src_text and tgt_text, such as a
     TranscriptPair or a manifest entry. Checks run in order: source
-    duration cap, empty-after-filtering target, ASR WER strictly above
-    the threshold. A source that normalizes to no words cannot be
+    duration cap, empty-after-filtering target (read as it is when the
+    caller has run clean_target on it: target_cleaned), ASR WER strictly
+    above the threshold. A source that normalizes to no words cannot be
     verified against the hypothesis and is dropped under the WER reason.
 
     The WER gate is exact, yet it runs word_error_rate only when two
@@ -255,7 +256,7 @@ def filter_pair(pair: TranscriptPair, asr_hyp: list[str], cfg: FilterConfig) -> 
     """
     if pair.n_samples > cfg.max_samples:
         return _DROP[DROP_TOO_LONG]
-    if not clean_target(pair.tgt_text, cfg.event_lexicon).strip():
+    if not (pair.tgt_text if target_cleaned else clean_target(pair.tgt_text, cfg.event_lexicon)).strip():
         return _DROP[DROP_EMPTY]
     ref = normalize_for_asr(pair.src_text)
     hyp_mid, ref_mid = strip_shared_ends(asr_hyp, ref)

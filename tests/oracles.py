@@ -162,9 +162,10 @@ def wsola_reference(x, rate, factor):
     """WSOLA whose lag search scores a strided candidate matrix directly.
 
     Correlation by one matrix-vector product and window norms by an
-    einsum over every candidate, against the FFT correlation and running
-    energy of augment._wsola; scores within 1e-9 * ||natural|| of the
-    best tie and the earliest lag wins, as there.
+    einsum over every candidate, against the per-frame np.correlate and
+    the running energy of augment._wsola; scores within
+    1e-9 * ||natural|| of the best tie and the earliest lag wins, as
+    there.
     """
     w = int(round(rate * 30 / 1000))
     w = max(w + w % 2, 2)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stforge import cli, textfilter
 from stforge.audio import AudioClip, load_wav, write_wav
 from stforge.cli import EPOCH_SEED_STRIDE, build_parser, main
 from stforge.config import config_from_dict
@@ -237,6 +238,28 @@ class TestFilter:
             line.split("\t") for line in report.read_text(encoding="utf-8").splitlines()
         )
         assert report_rows == {"m1": "asr_wer", "m2": "too_long"}
+
+    def test_cleans_each_text_once_per_row(self, filter_fixture, tmp_path, monkeypatch):
+        # the source and the target once each: the gate reads the cleaned target as it is
+        manifest, hyps = filter_fixture
+        entries = read_lines(manifest, read_manifest)
+        entries.append(ManifestEntry("a0", "a0.wav", 16000, 3, "MuST-C-train", "Guten Morgen", "(Applaus)"))
+        manifest.write_text(manifest_text(entries), encoding="utf-8")
+        hyps.write_text(hyps.read_text(encoding="utf-8") + "a0\tguten morgen\n", encoding="utf-8")
+        calls = []
+
+        def counting(sentence, *args):
+            calls.append(sentence)
+            return clean_target(sentence, *args)
+
+        monkeypatch.setattr(cli, "clean_target", counting)
+        monkeypatch.setattr(textfilter, "clean_target", counting)
+        out, report = tmp_path / "kept.tsv", tmp_path / "report.tsv"
+        rc = main(["filter", "--manifest", str(manifest), "--asr-hyps", str(hyps),
+                   "--max-samples", "20000", "--out", str(out), "--report", str(report)])
+        assert rc == 0
+        assert len(calls) == 2 * len(entries) == 10
+        assert "a0\tempty_after_filtering\n" in report.read_text(encoding="utf-8")
 
     def test_europarl_thousands_joined_in_output(self, filter_fixture, tmp_path):
         manifest, hyps = filter_fixture

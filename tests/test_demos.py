@@ -123,3 +123,28 @@ def test_sweep_score_runs_without_pyyaml(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
     assert (tmp_path / "c.tsv").read_text(encoding="utf-8").startswith("5\t")
+
+
+def test_augment_runs_without_numpy_fft(tmp_path):
+    # WSOLA scores its lags by direct correlation, so augmenting every clip never loads numpy.fft
+    import numpy as np
+
+    from stforge.audio import AudioClip, write_wav
+
+    (tmp_path / "wavs").mkdir()
+    rng = np.random.default_rng(0)
+    rows = []
+    for name in ("c0", "c1"):
+        write_wav(str(tmp_path / "wavs" / f"{name}.wav"), AudioClip(0.3 * rng.standard_normal(8000), 16000))
+        rows.append((name, f"{name}.wav", "8000", "3", "MuST-C-train", "Guten Morgen", "Good morning"))
+    (tmp_path / "clips.tsv").write_text(
+        "".join("\t".join(row) + "\n" for row in [MANIFEST_COLUMNS, *rows]), encoding="utf-8")
+    args = ["augment", "--in", "clips.tsv", "--audio-root", "wavs", "--out", "aug", "--p-aug", "1"]
+    code = ("import sys; from stforge.cli import main; "
+            f"rc = main({args!r}); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('numpy.fft')), 'numpy' in sys.modules)")
+    proc = _run("-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 [] True"
+    log = (tmp_path / "aug" / "augment_log.tsv").read_text(encoding="utf-8").splitlines()
+    assert [row.split("\t")[:2] for row in log] == [["c0", "1"], ["c1", "1"]]
