@@ -42,6 +42,12 @@ def _as_readonly(samples: np.ndarray) -> np.ndarray:
     return out
 
 
+def _owned(samples: np.ndarray) -> np.ndarray:
+    """A freshly computed array that nothing else holds, made read-only so that AudioClip shares it."""
+    samples.setflags(write=False)
+    return samples
+
+
 def _positive_int(name: str, value) -> int:
     """``value`` as an int; it must be a positive integer (numpy's included, bool not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
@@ -127,7 +133,7 @@ def load_wav(path) -> AudioClip:
         samples /= INT16_SCALE
     elif not np.isfinite(samples).all():  # write_wav could not write such a clip back
         raise AudioError(f"{path}: non-finite float samples (NaN or infinity)")
-    return AudioClip(samples, rate)
+    return AudioClip(_owned(samples), rate)
 
 
 def write_wav(path, clip: AudioClip) -> None:
@@ -145,11 +151,13 @@ def write_wav(path, clip: AudioClip) -> None:
         raise AudioError(f"{path}: sample rate {clip.sample_rate} outside 1 .. {MAX_WAV_RATE} Hz")
     if not np.isfinite(clip.samples).all():
         raise AudioError(f"{path}: non-finite samples (NaN or infinity) cannot be written as PCM16")
-    ints = np.clip(np.round(clip.samples * INT16_SCALE), -32768, 32767).astype("<i2")
+    scaled = clip.samples * INT16_SCALE
+    ints = np.clip(np.round(scaled, out=scaled), -32768, 32767, out=scaled).astype("<i2")
     rate, size = clip.sample_rate, ints.nbytes
     header = _PCM16_HEADER.pack(b"RIFF", 36 + size, b"WAVE", b"fmt ", 16, 1, 1, rate, 2 * rate, 2, 16, b"data", size)
     with atomic_write(path, "wb") as fh:
-        fh.write(header + ints.tobytes())
+        fh.write(header)
+        fh.write(ints.data)
 
 
 def _sinc_resample(x: np.ndarray, in_rate: float, out_rate: float) -> np.ndarray:
@@ -233,7 +241,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     target_rate = _positive_int("target_rate", target_rate)
     if target_rate == clip.sample_rate:
         return clip
-    return AudioClip(_sinc_resample(clip.samples, clip.sample_rate, target_rate), target_rate)
+    return AudioClip(_owned(_sinc_resample(clip.samples, clip.sample_rate, target_rate)), target_rate)
 
 
 def normalize_zero_mean_unit_var(clip: AudioClip) -> AudioClip:
@@ -249,8 +257,8 @@ def normalize_zero_mean_unit_var(clip: AudioClip) -> AudioClip:
     centered = clip.samples - clip.samples.mean()
     std = np.sqrt(np.mean(centered**2))
     if std < 1e-12:
-        return AudioClip(np.zeros(len(clip)), clip.sample_rate)
-    return AudioClip(centered / std, clip.sample_rate)
+        return AudioClip(_owned(np.zeros(len(clip))), clip.sample_rate)
+    return AudioClip(_owned(centered / std), clip.sample_rate)
 
 
 def extract_segment(clip: AudioClip, offset: float, duration: float) -> AudioClip:
@@ -271,4 +279,4 @@ def extract_segment(clip: AudioClip, offset: float, duration: float) -> AudioCli
     start = int(np.floor(offset * clip.sample_rate + 0.5))
     end = int(np.floor((offset + duration) * clip.sample_rate + 0.5))
     end = min(end, len(clip))
-    return AudioClip(clip.samples[start:end].copy(), clip.sample_rate)
+    return AudioClip(_owned(clip.samples[start:end].copy()), clip.sample_rate)

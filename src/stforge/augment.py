@@ -15,7 +15,7 @@ import math
 import random
 from typing import TYPE_CHECKING
 
-from .audio import AudioClip, _sinc_resample
+from .audio import AudioClip, _owned, _sinc_resample
 from .ioutil import record
 
 if TYPE_CHECKING:
@@ -147,7 +147,7 @@ def tempo(clip: AudioClip, factor: float) -> AudioClip:
         raise ValueError(f"tempo factor must be in [0.5, 2], got {factor}")
     if factor == 1.0:
         return clip
-    return AudioClip(_wsola(clip.samples, clip.sample_rate, factor), clip.sample_rate)
+    return AudioClip(_owned(_wsola(clip.samples, clip.sample_rate, factor)), clip.sample_rate)
 
 
 def pitch(clip: AudioClip, cents: float) -> AudioClip:
@@ -163,7 +163,7 @@ def pitch(clip: AudioClip, cents: float) -> AudioClip:
     factor = 2.0 ** (cents / 1200.0)
     shifted = _sinc_resample(clip.samples, factor, 1.0)  # length /factor, pitch *factor
     restored = _wsola(shifted, clip.sample_rate, 1.0 / factor)
-    return AudioClip(restored, clip.sample_rate)
+    return AudioClip(_owned(restored), clip.sample_rate)
 
 
 def echo(clip: AudioClip, delay_ms: float, decay: float) -> AudioClip:
@@ -180,7 +180,7 @@ def echo(clip: AudioClip, delay_ms: float, decay: float) -> AudioClip:
         elif d < len(y):
             y[d:] += decay * clip.samples[:-d]
         y /= 1.0 + decay
-    return AudioClip(y, clip.sample_rate)
+    return AudioClip(_owned(y), clip.sample_rate)
 
 
 def apply_augmentation(clip: AudioClip, params: EffectParams) -> AudioClip:

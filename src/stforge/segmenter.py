@@ -271,16 +271,10 @@ _YAML_UNESCAPE = re.compile(_ESCAPE_CODE)
 # A time is an unsigned decimal that YAML reads as the number float() reads: an
 # integer has no leading zero, since YAML reads 010 as octal 8 and 08 as a string.
 _SEGMENT_LINE = "- {duration: %.6f, offset: %.6f, speaker_id: %s, wav: %s}"
-_SEGMENT_KEYS = ("duration", "offset", "speaker_id", "wav")  # groups 1-4 of _LINE_RE
-_TIME = r"[0-9]+\.[0-9]*|0|[1-9][0-9]*"
+_SEGMENT_KEYS = ("duration", "offset", "speaker_id", "wav")
+_TIME_RE = re.compile(r"[0-9]+\.[0-9]*|0|[1-9][0-9]*")
 _VALUE = rf'{_PLAIN_YAML.pattern}|"(?:[^{_ESCAPED}]|{_ESCAPE_CODE})*"'
-_KEY = r"[A-Za-z_][A-Za-z0-9_]*"
-_KEY_VALUE = rf"({_KEY}): ({_VALUE})"
-_MAPPING_RE = re.compile(rf"- \{{{_KEY_VALUE}(?:, {_KEY_VALUE})*\}}")
-# A segment key's group is set once its item is read; (?(n)(?!)) then fails a repeat of that key.
-_ITEM = "|".join([rf"{key}: (?({n})(?!))(?P<{key}>{_TIME if n <= 2 else _VALUE})"
-                  for n, key in enumerate(_SEGMENT_KEYS, 1)] + [rf"(?!(?:{'|'.join(_SEGMENT_KEYS)}):){_KEY}: (?:{_VALUE})"])
-_LINE_RE = re.compile(rf"- \{{(?:(?:{_ITEM})(?:, (?!\}})|(?=\}})))+\}}")
+_ITEM_RE = re.compile(rf"([A-Za-z_][A-Za-z0-9_]*): ({_VALUE})")
 
 
 def _yaml_escape(match: re.Match) -> str:
@@ -321,37 +315,34 @@ def _read_id(key: str, value: str) -> str:
     return value
 
 
-def _refusal(line: str) -> str:
-    """Why _LINE_RE refuses a line: not a flow mapping, a repeated segment key or a time that is no decimal."""
-    if not _MAPPING_RE.fullmatch(line):
-        return f"expected a flow mapping - {{key: value, ...}}, got {line[:80]!r}"
-    items = re.findall(_KEY_VALUE, line)
-    keys = [key for key, _ in items]
-    reasons = [f"duplicate key {key!r}" for key in _SEGMENT_KEYS if keys.count(key) > 1]
-    reasons += [f"{key} must be an unsigned decimal, got {value}" for key, value in items
-                if key in ("duration", "offset") and not re.fullmatch(_TIME, value)]
-    return reasons[0]
-
-
 def _segment_row(line: str) -> tuple:
-    match = _LINE_RE.fullmatch(line)
-    if match is None:
-        raise ValueError(_refusal(line))
-    duration, offset, speaker_id, wav = fields = match.groups()
-    if None in fields:
-        raise ValueError(f"missing keys {[key for key, value in zip(_SEGMENT_KEYS, fields) if value is None]}")
-    wav, offset = _read_id("wav", wav), float(offset)  # a time too long for a float is inf, which Segment refuses
-    return (wav, offset), Segment(wav, offset, float(duration), _read_id("speaker_id", speaker_id))
+    # a flow mapping tokenizes into its own items, so a line is one exactly when its items spell it back
+    items = _ITEM_RE.findall(line)
+    if not items or line != "- {" + ", ".join(map(": ".join, items)) + "}":
+        raise ValueError(f"expected a flow mapping - {{key: value, ...}}, got {line[:80]!r}")
+    keys = [key for key, _ in items]
+    if repeated := [key for key in _SEGMENT_KEYS if keys.count(key) > 1]:
+        raise ValueError(f"duplicate key {repeated[0]!r}")
+    for key, value in items:
+        if key in ("duration", "offset") and not _TIME_RE.fullmatch(value):
+            raise ValueError(f"{key} must be an unsigned decimal, got {value}")
+    fields = dict(items)
+    if missing := [key for key in _SEGMENT_KEYS if key not in fields]:
+        raise ValueError(f"missing keys {missing}")
+    # a time too long for a float is inf, which Segment refuses
+    wav, offset = _read_id("wav", fields["wav"]), float(fields["offset"])
+    return (wav, offset), Segment(wav, offset, float(fields["duration"]), _read_id("speaker_id", fields["speaker_id"]))
 
 
 def parse_segments_yaml(text: str) -> list[Segment]:
     """Inverse of :func:`write_segments_yaml`: the segments of a text in the line dialect.
 
-    Every non-empty line is ``- {key: value, ...}``, the four keys of a Segment
-    in any order and other keys (MuST-C's ``rW``, ``uW``) ignored. A value is a
-    plain ``[A-Za-z0-9_./-]+`` scalar or a double-quoted one with the writer's
-    escapes. Any other YAML, a missing or repeated segment key, a plain id that
-    YAML 1.1 types as a non-string and a second segment at the same (wav, offset)
-    raise ``line N: ...``.
+    Every non-empty line is ``- {``, one or more ``key: value`` items joined by
+    ``, ``, and ``}``: a Segment's four keys in any order, others (MuST-C's
+    ``rW``, ``uW``) ignored. A value is a plain ``[A-Za-z0-9_./-]+`` scalar or a
+    double-quoted one with the writer's escapes. ``line N: ...`` names a line's
+    first fault in this order: another shape (any other YAML), a repeated segment
+    key, a time that is no unsigned decimal, missing keys, a plain id that YAML
+    1.1 types as a non-string; or a second segment at the same (wav, offset).
     """
     return [row for _, row in parse_rows(split_lines(text), _segment_row)]

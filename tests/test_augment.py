@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stforge import augment
-from stforge.audio import AudioClip
+from stforge import audio, augment
+from stforge.audio import AudioClip, extract_segment, load_wav, normalize_zero_mean_unit_var, resample, write_wav
 from stforge.augment import (
     SEARCH_MS,
     WINDOW_MS,
@@ -365,3 +365,31 @@ class TestApplyAugmentation:
         for _ in range(20):
             out = apply_augmentation(clip, sample_params(policy, rng))
             assert np.max(np.abs(out.samples)) <= 1.0
+
+    def test_fresh_outputs_reach_the_clip_read_only(self, monkeypatch, tmp_path):
+        # each producer freezes the array it has just computed, so AudioClip shares it instead of copying it
+        clip, silence, path = noise(seconds=0.5), AudioClip(np.zeros(800), RATE), tmp_path / "a.wav"
+        write_wav(path, clip)
+        params = EffectParams(tempo=1.1, pitch_cents=200.0, echo_delay_ms=50.0, echo_decay=0.1)
+        producers = {
+            "load_wav": lambda: load_wav(path),
+            "resample": lambda: resample(clip, 8000),
+            "normalize": lambda: normalize_zero_mean_unit_var(clip),
+            "normalize silence": lambda: normalize_zero_mean_unit_var(silence),
+            "extract_segment": lambda: extract_segment(clip, 0.1, 0.2),
+            "tempo": lambda: tempo(clip, 1.1),
+            "pitch": lambda: pitch(clip, 200.0),
+            "echo": lambda: echo(clip, 50.0, 0.1),
+            "apply_augmentation": lambda: apply_augmentation(clip, params),
+        }
+        writable, as_readonly = [], audio._as_readonly
+
+        def spy(samples):
+            writable.append(samples.flags.writeable)
+            return as_readonly(samples)
+
+        monkeypatch.setattr(audio, "_as_readonly", spy)
+        for name, produce in producers.items():
+            writable.clear()
+            produce()
+            assert writable and not any(writable), name

@@ -582,6 +582,86 @@ OTHER_FORMS = {
 }
 
 
+# values that put a fault in a line: a time that is no unsigned decimal, an id that YAML 1.1 types
+BAD_TIMES = ['"1.000000"', '"0"', "010", "08", "1.5x", "-1.0", "-0", ".5", "1e5", "1_0", ".inf", "null", "0x1F", "1.5.2"]
+TYPED_IDS = ["yes", "No", "null", "007", "1.50", ".inf", "0x1F", "2001-12-14", "-1", "true", "1_000"]
+# a line that breaks the shape: its opening, its closing brace, one ", " or one ": " changed
+SHAPE_BREAKS = [("open", "-{"), ("open", "{"), ("open", "- { "), ("close", ""), ("close", "}}"), ("close", ", }"),
+                ("close", " }"), ("sep", ","), ("sep", " , "), ("sep", ";  "), ("colon", ":"), ("colon", " : ")]
+# the documented reasons for refusing a line, in the order the reader checks them
+REASONS = {
+    "shape": r"expected a flow mapping - \{key: value, \.\.\.\}, got .+",
+    "duplicate": r"duplicate key '(duration|offset|speaker_id|wav)'",
+    "time": r"(duration|offset) must be an unsigned decimal, got \S+",
+    "missing": r"missing keys \[('(duration|offset|speaker_id|wav)'(, )?)+\]",
+    "id": r"(speaker_id|wav) must be a string, got \S+ \(a YAML (bool|null|int|float|timestamp); quote it\)",
+}
+SEGMENT_KEYS = ("duration", "offset", "speaker_id", "wav")
+
+
+@st.composite
+def faulty_lines(draw):
+    """A writer or MuST-C line with faults put in, and the reason it must be refused for (None: read it)."""
+    mustc = draw(st.booleans())
+    times = st.integers(0, 10**12).map(lambda n: f"{n / 10**6:.6f}")
+    if mustc:
+        times = st.one_of(times, st.integers(0, 10**7).map(str), st.integers(0, 10**5).map(lambda n: f"{n}."))
+    ids = st.one_of(st.sampled_from(PLAIN_IDS), st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+    values = {"duration": times.filter(lambda t: float(t) > 0), "offset": times, "speaker_id": ids.map(segmenter._yaml_str)}
+    values["wav"] = values["speaker_id"]
+    items = [(key, draw(values[key])) for key in SEGMENT_KEYS]
+    if mustc:
+        items = draw(st.permutations(items + [("rW", str(draw(st.integers(0, 300)))), ("uW", str(draw(st.integers(0, 30))))]))
+    shape = None
+    kinds = st.sampled_from(["unknown", "time", "id", "drop", "shape", "repeat"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        at = draw(st.integers(0, len(items)))
+        if kind == "repeat" and (present := sorted({k for k, _ in items} & set(SEGMENT_KEYS))):
+            key = draw(st.sampled_from(present))
+            items.insert(at, (key, draw(values[key])))
+        elif kind == "drop":
+            key = draw(st.sampled_from(SEGMENT_KEYS))
+            items = [item for item in items if item[0] != key]
+        elif kind in ("time", "id"):
+            keys, bad = (SEGMENT_KEYS[:2], BAD_TIMES) if kind == "time" else (SEGMENT_KEYS[2:], TYPED_IDS)
+            if spots := [i for i, (key, _) in enumerate(items) if key in keys]:
+                i = draw(st.sampled_from(spots))
+                items[i] = (items[i][0], draw(st.sampled_from(bad)))
+        elif kind == "unknown":
+            items.insert(at, (draw(st.sampled_from(["rW", "uW", "speaker", "wav_id", "_x"])),
+                              draw(st.sampled_from(["0", "17", "x.wav", '"a b"']))))
+        elif kind == "shape":
+            shape = draw(st.sampled_from(SHAPE_BREAKS))
+    part = {"open": "- {", "close": "}", "sep": ", ", "colon": ": "}
+    seps, colons = [part["sep"]] * max(len(items) - 1, 0), [part["colon"]] * len(items)
+    if shape is not None:
+        where, broken = shape
+        if where in ("open", "close"):
+            part[where] = broken
+        elif where == "sep" and seps:
+            seps[draw(st.integers(0, len(seps) - 1))] = broken
+        elif where == "colon" and colons:
+            colons[draw(st.integers(0, len(colons) - 1))] = broken
+        else:
+            shape = None
+    line = part["open"] + "".join(sep + key + colon + value for sep, (key, value), colon in
+                                  zip([""] + seps, items, colons)) + part["close"]
+    keys = [key for key, _ in items]
+    if shape is not None or not items:
+        reason = "shape"
+    elif any(keys.count(key) > 1 for key in SEGMENT_KEYS):
+        reason = "duplicate"
+    elif any(value in BAD_TIMES for key, value in items if key in SEGMENT_KEYS[:2]):
+        reason = "time"
+    elif not set(SEGMENT_KEYS) <= set(keys):
+        reason = "missing"
+    elif any(value in TYPED_IDS for key, value in items if key in SEGMENT_KEYS[2:]):
+        reason = "id"
+    else:
+        reason = None
+    return line, reason
+
+
 class TestSegmentLineReader:
     """The line reader of segment YAML against PyYAML's reading of the same text."""
 
@@ -597,6 +677,21 @@ class TestSegmentLineReader:
         else:
             with pytest.raises(ValueError, match=OTHER_FORMS[text]):
                 parse_segments_yaml(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(faulty_lines())
+    def test_refusal_names_the_first_fault(self, case):
+        # exactly one documented reason per refused line, for the fault the reader checks first
+        line, reason = case
+        if reason is None:
+            assert_equals_pyyaml(line + "\n")
+            return
+        with pytest.raises(ValueError) as refused:
+            parse_segments_yaml(line + "\n")
+        message = str(refused.value)
+        assert message.startswith("line 1: "), message
+        named = [name for name, pattern in REASONS.items() if re.fullmatch(pattern, message[len("line 1: "):])]
+        assert named == [reason], (line, message)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(canonical_texts(), mustc_texts()))
