@@ -11,15 +11,14 @@ cross-entropy.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-import os
 import re
+import zipfile
 
 import numpy as np
 
-from .ioutil import atomic_write, is_plain_file_name, read_text, record
+from .ioutil import atomic_write, record
 
 logger = logging.getLogger(__name__)
 
@@ -415,68 +414,27 @@ def average_checkpoints(checkpoints: list) -> dict:
 
 
 def write_checkpoint(path, tensors: dict) -> None:
-    """Store tensors as raw little-endian float32 plus a JSON index.
-
-    Layout: <path>/tensors.bin holds the concatenated tensor bytes in
-    sorted-name order; <path>/index.json maps each name to shape, dtype,
-    file, and byte offset. Both files are written atomically, the index
-    last, so a reader never sees an index pointing into a partial blob.
-    """
-    index = {}
-    offset = 0
-    with atomic_write(os.path.join(path, "tensors.bin"), "wb") as fh:
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-            fh.write(arr.tobytes())
-            index[name] = {
-                "shape": list(arr.shape),
-                "dtype": "float32",
-                "file": "tensors.bin",
-                "offset": offset,
-            }
-            offset += arr.nbytes
-    with atomic_write(os.path.join(path, "index.json")) as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write tensors atomically as one .npz file of little-endian float32 ``<name>.npy`` members, sorted by name and
+    dated 1980-01-01 (same tensors, same bytes). A reader sees the old file or the new, never a mix."""
+    with atomic_write(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+        for name in sorted(tensors):  # not np.savez: it refuses a tensor named "file" and drops "allow_pickle"
+            if "\0" in name:  # zipfile would cut the member's name there
+                raise ValueError(f"tensor name {name!r} holds a NUL")
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:  # a member may pass 2 GiB
+                np.lib.format.write_array(member, np.asarray(tensors[name], "<f4", order="C"), allow_pickle=False)
 
 
 def read_checkpoint(path) -> dict:
-    """Load a checkpoint directory written by write_checkpoint.
-
-    Each index entry is validated before its bytes are read: all keys
-    present, a non-negative integer offset and dims, a blob named by a
-    plain file name inside the directory, and the tensor's float32 bytes
-    inside that blob. A bad entry raises ValueError naming the tensor.
-    """
-    index = read_text(os.path.join(path, "index.json"), json.loads)
-    if not isinstance(index, dict):
-        raise ValueError(f"{path}: index.json must map tensor names to entries")
-    blobs = {}
-    out = {}
-    for name, meta in index.items():
-        try:
-            shape, offset, fname, dtype = (meta[k] for k in ("shape", "offset", "file", "dtype"))
-        except (KeyError, TypeError):
-            raise ValueError(f"{name}: index entry needs keys shape, offset, file and dtype") from None
-        if dtype != "float32":
-            raise ValueError(f"{name}: unsupported dtype {dtype}")
-        if not (isinstance(fname, str) and isinstance(shape, list)
-                and all(type(v) is int and v >= 0 for v in [offset, *shape])):
-            raise ValueError(f"{name}: index entry needs a file name and non-negative integer offset and dims")
-        if not is_plain_file_name(fname):
-            raise ValueError(f"{name}: file {fname!r} is not a plain file name inside {path}")
-        if fname not in blobs:
-            with open(os.path.join(path, fname), "rb") as fh:
-                blobs[fname] = fh.read()
-        count = math.prod(shape)
-        if offset + 4 * count > len(blobs[fname]):
-            raise ValueError(
-                f"{name}: bytes {offset}..{offset + 4 * count} lie past the end of "
-                f"{fname} ({len(blobs[fname])} bytes)"
-            )
-        arr = np.frombuffer(blobs[fname], dtype="<f4", count=count, offset=offset)
-        out[name] = arr.reshape(shape).copy()
-    return out
+    """The tensors of the .npz file at path, by name, never a mix of two writes. A truncated or non-zip file, and a
+    member that is not a little-endian float32 array (a pickled object included), raise ValueError naming the path."""
+    try:
+        with np.lib.npyio.NpzFile(path, allow_pickle=False) as npz:  # np.load's non-zip error suggests unpickling
+            out = {m: npz[m] for m in npz.zip.namelist()}  # by member: npz.files would merge "x" with "x.npy"
+        if bad := [m for m, arr in out.items() if not (m.endswith(".npy") and getattr(arr, "dtype", "") == "<f4")]:
+            raise ValueError(f"member {bad[0]!r} is not a little-endian float32 array")
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return {m[:-4]: arr for m, arr in out.items()}
 
 
 class TriStageConfig(record("TriStageConfig", "total_steps base_lr ratios init_scale final_scale")):

@@ -95,8 +95,10 @@ def _transcript_row(line: str) -> tuple:
         raise ValueError(f"audio must be valid Unicode, got {audio!r}") from None
     if type(frame_ms) is not int:  # bool is an int subclass; 20.9 is not truncated
         raise ValueError(f"frame_ms must be an integer, got {frame_ms!r}")
-    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-        raise ValueError("tokens must be a list of strings")
+    try:  # one C-level pass over the tokens; a non-list is joined as [None], which fails the same way
+        "".join(tokens if isinstance(tokens, list) else [None])
+    except TypeError:
+        raise ValueError("tokens must be a list of strings") from None
     return audio, FrameTranscript(audio_id=audio, frame_ms=frame_ms, tokens=tokens)
 
 
@@ -318,7 +320,7 @@ def _read_id(key: str, value: str) -> str:
 def _segment_row(line: str) -> tuple:
     # a flow mapping tokenizes into its own items, so a line is one exactly when its items spell it back
     items = _ITEM_RE.findall(line)
-    if not items or line != "- {" + ", ".join(map(": ".join, items)) + "}":
+    if line != "- {" + ", ".join(map(": ".join, items)) + "}":
         raise ValueError(f"expected a flow mapping - {{key: value, ...}}, got {line[:80]!r}")
     keys = [key for key, _ in items]
     if repeated := [key for key in _SEGMENT_KEYS if keys.count(key) > 1]:
@@ -337,7 +339,7 @@ def _segment_row(line: str) -> tuple:
 def parse_segments_yaml(text: str) -> list[Segment]:
     """Inverse of :func:`write_segments_yaml`: the segments of a text in the line dialect.
 
-    Every non-empty line is ``- {``, one or more ``key: value`` items joined by
+    Every non-empty line is ``- {``, zero or more ``key: value`` items joined by
     ``, ``, and ``}``: a Segment's four keys in any order, others (MuST-C's
     ``rW``, ``uW``) ignored. A value is a plain ``[A-Za-z0-9_./-]+`` scalar or a
     double-quoted one with the writer's escapes. ``line N: ...`` names a line's

@@ -513,17 +513,28 @@ class TestFilterRelations:
 
 
 class TestMemory:
-    """A manifest stage holds what it must keep, not copies of the file's text.
+    """Each stage holds what it must keep, not copies of its inputs' text: one row per stage.
 
-    The bound is the tracemalloc peak of one cli.main call per byte of its
-    inputs, on 3,000 rows shaped like a MuST-C manifest. Measured in a
-    fresh process: filter 3.2x when it held the whole text, its lines and
-    every entry, and 0.9x streaming row by row; sample 4.6x, and 2.1x once
-    it no longer holds the text beside the rows.
+    A row's bound is the tracemalloc peak of one cli.main call per byte of
+    the inputs it reads, on 3,000 rows shaped like a MuST-C manifest.
+    Measured in a fresh process: filter 3.2x when it held the whole text,
+    its lines and every entry, and 0.9x streaming row by row; sample 4.6x,
+    and 2.1x once it no longer holds the text beside the rows.
+
+    Stages not yet in the table, with the ROADMAP item that adds each:
+    segment and sweep (14), score and sweep-score (1), augment (5), and
+    batch (none yet).
     """
 
     SYLLABLES = "ka ri to na me su lo ve ber ung sch ein da gen".split()
     SPLITS = ["MuST-C-train", "EuroparlST-train", "EuroparlST-dev", "CoVoST-train", "CoVoST-dev"]
+    # stage: (argv, where {input} and {out} stand for an input's path and the output directory; the inputs
+    # the stage reads; the bound on its peak bytes per input byte)
+    STAGES = {
+        "filter": ("filter --manifest {manifest} --asr-hyps {hyps} --out {out}/kept.tsv --report {out}/r.tsv",
+                   ("manifest", "hyps"), 2.0),
+        "sample": ("sample --manifest {manifest} --out {out}/e.tsv", ("manifest",), 3.3),
+    }
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -541,30 +552,20 @@ class TestMemory:
         manifest, hyps = root / "all.tsv", root / "hyps.tsv"
         manifest.write_text(manifest_text(entries), encoding="utf-8")
         hyps.write_text("".join(hyp_lines), encoding="utf-8")
-        return manifest, hyps
+        return {"manifest": manifest, "hyps": hyps}
 
-    @staticmethod
-    def peak_per_input_byte(argv, *inputs):
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_peak_per_input_byte(self, corpus, tmp_path, stage):
+        argv, reads, bound = self.STAGES[stage]
+        argv = [arg.format(out=tmp_path, **corpus) for arg in argv.split()]
         tracemalloc.start()
         try:
             assert main(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak / sum(path.stat().st_size for path in inputs)
-
-    def test_filter_streams_the_manifest(self, corpus, tmp_path):
-        manifest, hyps = corpus
-        ratio = self.peak_per_input_byte(["filter", "--manifest", str(manifest), "--asr-hyps", str(hyps),
-                                          "--out", str(tmp_path / "kept.tsv"), "--report", str(tmp_path / "r.tsv")],
-                                         manifest, hyps)
-        assert ratio < 2.0, ratio
-
-    def test_sample_holds_its_rows_once(self, corpus, tmp_path):
-        manifest, _ = corpus
-        ratio = self.peak_per_input_byte(["sample", "--manifest", str(manifest), "--out", str(tmp_path / "e.tsv")],
-                                         manifest)
-        assert ratio < 3.3, ratio
+        ratio = peak / sum(corpus[name].stat().st_size for name in reads)
+        assert ratio < bound, ratio
 
 
 class TestManifestNumbers:

@@ -1,12 +1,15 @@
 """Adapter math, length adaptor, parameter inventory, schedules, checkpoints."""
 
-import json
 import logging
 import math
+import os
 import re
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stforge.coupling import (
     AdapterParams,
@@ -336,88 +339,184 @@ class TestCheckpoints:
 
     def test_roundtrip(self, tmp_path):
         tensors = self.tensors(1)
-        write_checkpoint(tmp_path / "ckpt", tensors)
-        back = read_checkpoint(tmp_path / "ckpt")
+        write_checkpoint(tmp_path / "ckpt.npz", tensors)
+        back = read_checkpoint(tmp_path / "ckpt.npz")
         assert sorted(back) == sorted(tensors)
         for name in tensors:
             np.testing.assert_array_equal(back[name], tensors[name])
 
     def test_on_disk_layout_is_little_endian_sorted(self, tmp_path):
+        # numpy's own .npz: one stored .npy member per tensor, little-endian float32, in sorted-name order
         tensors = {
-            "b": np.array([1.0, 2.0], dtype=np.float32),
+            "b": np.array([1.0, 2.0], dtype=np.float64),
             "a": np.array([[3.0]], dtype=np.float32),
         }
-        write_checkpoint(tmp_path / "c", tensors)
-        blob = (tmp_path / "c" / "tensors.bin").read_bytes()
-        want = np.array([3.0, 1.0, 2.0], dtype="<f4").tobytes()  # "a" first
-        assert blob == want
+        write_checkpoint(tmp_path / "c.npz", tensors)
+        with zipfile.ZipFile(tmp_path / "c.npz") as archive:
+            assert archive.namelist() == ["a.npy", "b.npy"]
+            assert {(info.compress_type, info.date_time) for info in archive.infolist()} == {
+                (zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0))}  # not dated by the clock: same tensors, same bytes
+            for member, values in (("a.npy", [[3.0]]), ("b.npy", [1.0, 2.0])):
+                raw = archive.read(member)
+                assert b"'descr': '<f4'" in raw
+                assert raw.endswith(np.array(values, dtype="<f4").tobytes())
+        with np.load(tmp_path / "c.npz", allow_pickle=False) as npz:
+            np.testing.assert_array_equal(npz["b"], np.array([1.0, 2.0], dtype=np.float32))
+
+    def test_same_tensors_give_same_bytes(self, tmp_path):
+        tensors = self.tensors(7)
+        write_checkpoint(tmp_path / "c1.npz", tensors)
+        write_checkpoint(tmp_path / "c2.npz", dict(reversed(tensors.items())))
+        assert (tmp_path / "c1.npz").read_bytes() == (tmp_path / "c2.npz").read_bytes()
+
+    def test_names_np_savez_cannot_hold_round_trip(self, tmp_path):
+        # np.savez refuses a tensor named "file" and drops one named "allow_pickle"
+        names = ["file", "allow_pickle", "a/b", "x", "x.npy", "", "ünï code", "../up"]
+        tensors = {name: np.full(i + 1, i, dtype=np.float32) for i, name in enumerate(names)}
+        tensors["scalar"] = np.float32(2.5)
+        write_checkpoint(tmp_path / "c.npz", tensors)
+        back = read_checkpoint(tmp_path / "c.npz")
+        assert sorted(back) == sorted(tensors)
+        for name, want in tensors.items():
+            assert back[name].dtype == np.float32 and back[name].shape == np.shape(want), name
+            np.testing.assert_array_equal(back[name], want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        names=st.lists(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=8),
+                       max_size=4, unique=True),
+        shape=st.lists(st.integers(0, 3), max_size=3),
+    )
+    def test_any_name_round_trips(self, tmp_path_factory, names, shape):
+        path = tmp_path_factory.mktemp("names") / "c.npz"
+        base = np.arange(math.prod(shape), dtype=np.float32).reshape(shape)
+        tensors = {name: base + i for i, name in enumerate(names)}
+        write_checkpoint(path, tensors)
+        back = read_checkpoint(path)
+        assert sorted(back) == sorted(tensors)
+        for name in tensors:
+            assert back[name].shape == tuple(shape)
+            np.testing.assert_array_equal(back[name], tensors[name])
+
+    def test_nul_in_name_refused(self, tmp_path):
+        # zipfile would cut the member's name at the NUL and write a file that no longer holds the tensor
+        with pytest.raises(ValueError, match="holds a NUL"):
+            write_checkpoint(tmp_path / "c.npz", {"a\0b": np.zeros(1)})
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_rewrite_keeps_previous_checkpoint(self, tmp_path):
         good = self.tensors(4)
-        write_checkpoint(tmp_path / "c", good)
+        write_checkpoint(tmp_path / "c.npz", good)
         bad = dict(good, **{"a.unconvertible": np.array(["x"])})  # sorts first: fails before any bytes
         with pytest.raises(ValueError):
-            write_checkpoint(tmp_path / "c", bad)
-        assert sorted(p.name for p in (tmp_path / "c").iterdir()) == ["index.json", "tensors.bin"]
-        back = read_checkpoint(tmp_path / "c")
+            write_checkpoint(tmp_path / "c.npz", bad)
+        assert [p.name for p in tmp_path.iterdir()] == ["c.npz"]  # no temporary file left
+        back = read_checkpoint(tmp_path / "c.npz")
         for name in good:
             np.testing.assert_array_equal(back[name], good[name])
 
-    def test_truncated_blob_names_tensor(self, tmp_path):
-        write_checkpoint(tmp_path / "c", self.tensors(5))
-        blob = tmp_path / "c" / "tensors.bin"
-        blob.write_bytes(blob.read_bytes()[:40])  # layer.bias whole, layer.weight cut
-        with pytest.raises(ValueError, match=r"layer\.weight: bytes 16\.\.64 lie past the end"):
-            read_checkpoint(tmp_path / "c")
+    @staticmethod
+    def interrupt(monkeypatch, owner, attr, at=None):
+        """Count the calls of owner.attr; with ``at``, raise KeyboardInterrupt in place of the at-th call."""
+        real, calls = getattr(owner, attr), []
 
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            ({"offset": 1 << 20}, "lie past the end"),
-            ({"offset": -4}, "non-negative integer offset"),
-            ({"offset": 1.5}, "non-negative integer offset"),
-            ({"shape": [-1, 3]}, "non-negative integer offset"),
-            ({"offset": None}, "needs keys"),
-        ],
-    )
-    def test_bad_index_entry_names_tensor(self, tmp_path, edit, message):
-        write_checkpoint(tmp_path / "c", self.tensors(6))
-        index_path = tmp_path / "c" / "index.json"
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-        index["layer.weight"].update(edit)
-        index["layer.weight"] = {k: v for k, v in index["layer.weight"].items() if v is not None}
-        index_path.write_text(json.dumps(index), encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"layer\.weight: .*{message}"):
-            read_checkpoint(tmp_path / "c")
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == at:
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
 
-    def test_malformed_index_names_the_file(self, tmp_path):
-        write_checkpoint(tmp_path / "c", self.tensors(6))
-        index_path = tmp_path / "c" / "index.json"
-        index_path.write_text("{'layer.weight': {}}", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(index_path))}: Expecting property name"):
-            read_checkpoint(tmp_path / "c")
+        monkeypatch.setattr(owner, attr, wrapper)
+        return calls
 
-    @pytest.mark.parametrize("fname", ["absolute", "../outside.bin", "sub/tensors.bin", "..", "."])
-    def test_index_file_must_stay_inside_the_checkpoint(self, tmp_path, fname):
-        write_checkpoint(tmp_path / "c", self.tensors(6))
-        outside = tmp_path / "outside.bin"
-        outside.write_bytes((tmp_path / "c" / "tensors.bin").read_bytes())
-        index_path = tmp_path / "c" / "index.json"
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-        index["layer.weight"]["file"] = str(outside) if fname == "absolute" else fname
-        index_path.write_text(json.dumps(index), encoding="utf-8")
-        with pytest.raises(ValueError, match=r"layer\.weight: file .* is not a plain file name"):
-            read_checkpoint(tmp_path / "c")
+    def test_torn_rewrite_reads_the_old_checkpoint(self, tmp_path, monkeypatch):
+        # a rewrite cut at its last rename leaves the old tensors whole: never the old names over the new bytes
+        old = {"enc.w": np.full(4, 5, dtype=np.float32), "enc.b": np.full(2, 5, dtype=np.float32)}
+        new = {"dec.w": np.full((2, 3), 7, dtype=np.float32)}
+        with monkeypatch.context() as patch:
+            renames = self.interrupt(patch, os, "replace")
+            write_checkpoint(tmp_path / "dry", new)
+        write_checkpoint(tmp_path / "c", old)
+        with monkeypatch.context() as patch:
+            self.interrupt(patch, os, "replace", at=len(renames))
+            with pytest.raises(KeyboardInterrupt):
+                write_checkpoint(tmp_path / "c", new)
+        back = read_checkpoint(tmp_path / "c")
+        assert sorted(back) == sorted(old)
+        for name in old:
+            np.testing.assert_array_equal(back[name], old[name])
+
+    @pytest.mark.parametrize("owner, attr", [(os, "replace"), (np.lib.format, "write_array")], ids=["rename", "member"])
+    def test_interrupted_rewrite_keeps_previous_checkpoint(self, tmp_path, monkeypatch, owner, attr):
+        # a rewrite cut at any rename, or at the write of any member, leaves the old checkpoint whole
+        old, new = self.tensors(8), {"a": np.ones(3, np.float32), "layer.bias": np.zeros(4, np.float32)}
+        with monkeypatch.context() as patch:
+            calls = self.interrupt(patch, owner, attr)
+            write_checkpoint(tmp_path / "dry.npz", new)
+        (tmp_path / "dry.npz").unlink()
+        assert calls
+        write_checkpoint(tmp_path / "c.npz", old)
+        for at in range(1, len(calls) + 1):
+            with monkeypatch.context() as patch:
+                self.interrupt(patch, owner, attr, at=at)
+                with pytest.raises(KeyboardInterrupt):
+                    write_checkpoint(tmp_path / "c.npz", new)
+            assert [p.name for p in tmp_path.iterdir()] == ["c.npz"], at
+            back = read_checkpoint(tmp_path / "c.npz")
+            assert sorted(back) == sorted(old), at
+            for name in old:
+                np.testing.assert_array_equal(back[name], old[name])
+
+    @pytest.mark.parametrize("case", ["empty", "cut-header", "cut-half", "cut-last-byte", "not-zip", "bare-npy",
+                                      "float64-member", "object-member", "raw-member"])
+    def test_unreadable_file_names_the_path(self, tmp_path, case):
+        path = tmp_path / "c.npz"
+        write_checkpoint(path, self.tensors(5))
+        whole = path.read_bytes()
+        cuts = {"empty": 0, "cut-header": 10, "cut-half": len(whole) // 2, "cut-last-byte": len(whole) - 1}
+        if case in cuts:
+            path.write_bytes(whole[: cuts[case]])
+        elif case == "not-zip":
+            path.write_text("layer.weight 1 2 3\n", encoding="utf-8")
+        elif case == "bare-npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.ones(3, dtype=np.float32))
+        elif case == "raw-member":
+            with zipfile.ZipFile(path, "w") as archive:
+                archive.writestr("layer.bias.npy", np.ones(4, dtype="<f4").tobytes())
+        else:
+            bad = np.ones(2) if case == "float64-member" else np.array([Unpickled(), 1], dtype=object)
+            with open(path, "wb") as fh:
+                np.savez(fh, layer=np.ones(2, dtype=np.float32), other=bad, allow_pickle=True)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: ") as refused:
+            read_checkpoint(path)
+        if case == "float64-member":
+            assert "member 'other.npy' is not a little-endian float32 array" in str(refused.value)
+        assert not Unpickled.loaded
 
     def test_average_survives_interchange(self, tmp_path):
         ckpts = [self.tensors(s) for s in (2, 3)]
         for i, c in enumerate(ckpts):
-            write_checkpoint(tmp_path / f"c{i}", c)
-        loaded = [read_checkpoint(tmp_path / f"c{i}") for i in range(2)]
+            write_checkpoint(tmp_path / f"c{i}.npz", c)
+        loaded = [read_checkpoint(tmp_path / f"c{i}.npz") for i in range(2)]
         avg = average_checkpoints(loaded)
         for name in ckpts[0]:
             want = (ckpts[0][name].astype(np.float64) + ckpts[1][name]) / 2
             np.testing.assert_allclose(avg[name], want, atol=1e-7)
+
+
+class Unpickled:
+    """An object whose unpickling would be seen: a reader that loads it sets ``loaded``."""
+
+    loaded = False
+
+    def __reduce__(self):
+        return _mark_unpickled, ()
+
+
+def _mark_unpickled():
+    Unpickled.loaded = True
+    return Unpickled()
 
 
 class TestTriStage:

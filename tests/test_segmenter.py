@@ -577,6 +577,8 @@ OTHER_FORMS = {
     "- {duration: 1., offset: 0, speaker_id: s, wav: a.wav}\n": None,
     "- {duration: 1.000000, offset: 0.000000, speaker_id: \"a\\nb\", wav: a.wav}\n": NOT_A_LINE,
     "- {duration: 1.000000, offset: 0.000000, speaker_id: \"a\\x41\\u00e9\\\\\\\"\", wav: a.wav}\n": None,
+    "- {}\n": r"^line 1: missing keys \['duration', 'offset', 'speaker_id', 'wav'\]$",
+    "- { }\n": NOT_A_LINE,
     "": None,
     "\n": None,
 }
@@ -613,7 +615,7 @@ def faulty_lines(draw):
     if mustc:
         items = draw(st.permutations(items + [("rW", str(draw(st.integers(0, 300)))), ("uW", str(draw(st.integers(0, 30))))]))
     shape = None
-    kinds = st.sampled_from(["unknown", "time", "id", "drop", "shape", "repeat"])
+    kinds = st.sampled_from(["unknown", "time", "id", "drop", "clear", "shape", "repeat"])
     for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
         at = draw(st.integers(0, len(items)))
         if kind == "repeat" and (present := sorted({k for k, _ in items} & set(SEGMENT_KEYS))):
@@ -622,6 +624,8 @@ def faulty_lines(draw):
         elif kind == "drop":
             key = draw(st.sampled_from(SEGMENT_KEYS))
             items = [item for item in items if item[0] != key]
+        elif kind == "clear":  # "- {}" is a flow mapping with every segment key missing
+            items = []
         elif kind in ("time", "id"):
             keys, bad = (SEGMENT_KEYS[:2], BAD_TIMES) if kind == "time" else (SEGMENT_KEYS[2:], TYPED_IDS)
             if spots := [i for i, (key, _) in enumerate(items) if key in keys]:
@@ -647,7 +651,7 @@ def faulty_lines(draw):
     line = part["open"] + "".join(sep + key + colon + value for sep, (key, value), colon in
                                   zip([""] + seps, items, colons)) + part["close"]
     keys = [key for key, _ in items]
-    if shape is not None or not items:
+    if shape is not None:
         reason = "shape"
     elif any(keys.count(key) > 1 for key in SEGMENT_KEYS):
         reason = "duplicate"
