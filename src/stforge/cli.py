@@ -22,7 +22,7 @@ import sys
 from . import config as config_mod
 from .audio import load_wav, write_wav
 from .augment import apply_augmentation, sample_params
-from .evalign import corpus_bleu, resegment_mwer, score_segmentation, tokenize_13a
+from .evalign import corpus_bleu, resegment_talks, score_segmentation, tokenize_13a
 from .ioutil import atomic_write, is_plain_file_name, parse_rows, read_lines, read_text, split_lines
 from .sampler import (ManifestEntry, batch_stats, build_batches, epoch_sample, filter_lengths, manifest_line,
                       manifest_rows, read_manifest, write_manifest)
@@ -49,6 +49,12 @@ def cmd_segment(args, cfg: config_mod.PipelineConfig) -> int:
     return 0
 
 
+def _cap_text(value: float) -> str:
+    """A swept cap as written in rows and file names: %g when that reads back as the value, else its repr."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def cmd_sweep(args, cfg: config_mod.PipelineConfig) -> int:
     transcripts = read_text(args.transcripts, parse_frame_transcript)
     # a sweep parameter like --lo/--hi: checked against each swept cap only
@@ -56,10 +62,10 @@ def cmd_sweep(args, cfg: config_mod.PipelineConfig) -> int:
     swept = sweep_max_seg_len(transcripts, args.lo, args.hi, args.step, min_gap)
     with atomic_write(args.out) as fh:
         for value in sorted(swept):
-            fh.write(f"{value:g}\t{len(swept[value])}\n")
+            fh.write(f"{_cap_text(value)}\t{len(swept[value])}\n")
     if args.seg_dir:
         for value, segments in sorted(swept.items()):
-            path = os.path.join(args.seg_dir, f"max_seg_len_{value:g}.yaml")
+            path = os.path.join(args.seg_dir, f"max_seg_len_{_cap_text(value)}.yaml")
             with atomic_write(path) as fh:
                 fh.write(write_segments_yaml(segments))
     logger.info("swept %d max_seg_len values", len(swept))
@@ -185,8 +191,7 @@ def cmd_score(args, cfg: config_mod.PipelineConfig) -> int:
     hyp_lines = split_lines(read_text(args.hyp))
     refs = read_text(args.ref, _references)
     if args.resegment:
-        hyp_tokens = [tok for line in hyp_lines for tok in tokenize_13a(line)]
-        groups = resegment_mwer(hyp_tokens, refs)
+        (groups,) = resegment_talks([(hyp_lines, refs)])
     else:
         if len(hyp_lines) != len(refs):
             raise ValueError(
@@ -219,7 +224,7 @@ def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
     for name in names:
         value = _sweep_value(os.path.join(args.segdir, name))
         if value in by_value:
-            raise ValueError(f"{args.segdir}: {by_value[value]} and {name} both give max_seg_len {value:g}")
+            raise ValueError(f"{args.segdir}: {by_value[value]} and {name} both give max_seg_len {_cap_text(value)}")
         by_value[value] = name
     rows = []
     for value, name in sorted(by_value.items()):
@@ -232,7 +237,7 @@ def cmd_sweep_score(args, cfg: config_mod.PipelineConfig) -> int:
         rows.append((value, result.score))
     with atomic_write(args.out) as fh:
         for value, score in rows:
-            fh.write(f"{value:g}\t{score:.4f}\n")
+            fh.write(f"{_cap_text(value)}\t{score:.4f}\n")
     logger.info("scored %d segmentations", len(rows))
     return 0
 

@@ -415,11 +415,22 @@ def average_checkpoints(checkpoints: list) -> dict:
 
 def write_checkpoint(path, tensors: dict) -> None:
     """Write tensors atomically as one .npz file of little-endian float32 ``<name>.npy`` members, sorted by name and
-    dated 1980-01-01 (same tensors, same bytes). A reader sees the old file or the new, never a mix."""
+    dated 1980-01-01 (same tensors, same bytes). A reader sees the old file or the new, never a mix. A tensor that
+    float32 cannot hold (a dtype not bool, integer or float, or a finite value past its range) raises ValueError
+    naming it before the file is opened."""
+    for name, tensor in tensors.items():
+        if "\0" in name:  # zipfile would cut the member's name there
+            raise ValueError(f"tensor name {name!r} holds a NUL")
+        arr = np.asarray(tensor)
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"tensor {name!r} has dtype {arr.dtype}, not bool, integer or float")
+        if arr.dtype.kind == "f" and arr.dtype.itemsize > 4:  # no other dtype can overflow float32
+            with np.errstate(over="ignore"):
+                overflows = (np.isinf(arr.astype("<f4")) & np.isfinite(arr)).any()
+            if overflows:
+                raise ValueError(f"tensor {name!r} holds a finite value past float32's range")
     with atomic_write(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
         for name in sorted(tensors):  # not np.savez: it refuses a tensor named "file" and drops "allow_pickle"
-            if "\0" in name:  # zipfile would cut the member's name there
-                raise ValueError(f"tensor name {name!r} holds a NUL")
             with archive.open(name + ".npy", "w", force_zip64=True) as member:  # a member may pass 2 GiB
                 np.lib.format.write_array(member, np.asarray(tensors[name], "<f4", order="C"), allow_pickle=False)
 

@@ -285,8 +285,27 @@ def _reference_ngrams(ref: tuple) -> MappingProxyType:
     return MappingProxyType(dict(Counter(itertools.chain.from_iterable(_ngrams(ref)))))
 
 
+def segment_stats(hyp: list, ref: list) -> tuple:
+    """BLEU's ten counts for one segment pair: the clipped n-gram matches
+    and the hypothesis n-gram totals for orders 1 to 4, then len(hyp) and
+    len(ref). A clipped match is a hypothesis n-gram that takes one from a
+    copy of the reference's counts, made once per process per reference.
+    """
+    correct = [0] * NGRAM_ORDER
+    orders = _ngrams(hyp)
+    if hyp:
+        left = _reference_ngrams(tuple(ref)).copy()
+        for n, grams in enumerate(orders):
+            for g in grams:
+                c = left.get(g)
+                if c:
+                    left[g] = c - 1
+                    correct[n] += 1
+    return (*correct, *map(len, orders), len(hyp), len(ref))
+
+
 def corpus_bleu(hyp_segments: list, ref_segments: list) -> BleuScore:
-    """Corpus BLEU-4 over parallel segment lists.
+    """Corpus BLEU-4 over parallel segment lists, from their summed segment_stats.
 
     Precisions with zero matches are exponentially smoothed: the k-th
     zero order scores 1/(2^k * denominator), with the denominator
@@ -294,11 +313,6 @@ def corpus_bleu(hyp_segments: list, ref_segments: list) -> BleuScore:
     contribute a finite penalty. Brevity penalty is exp(1 - ref/hyp)
     for short hypotheses; an empty hypothesis corpus scores 0 with the
     penalty reported as 0 and flagged.
-
-    Each distinct reference is counted once per process, keyed on its
-    tokens; a segment's clipped matches, the sum of min(hyp count, ref
-    count) over its n-grams, are the hypothesis n-grams that can each
-    take one from a copy of the reference counts.
     """
     if len(hyp_segments) != len(ref_segments):
         raise ValueError(
@@ -307,24 +321,8 @@ def corpus_bleu(hyp_segments: list, ref_segments: list) -> BleuScore:
     if not any(ref_segments):
         raise ValueError("need at least one nonempty reference segment")
 
-    correct = [0] * NGRAM_ORDER
-    total = [0] * NGRAM_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hyp_segments, ref_segments):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        if not hyp:
-            continue
-        left = _reference_ngrams(tuple(ref)).copy()
-        for n, grams in enumerate(_ngrams(hyp)):
-            total[n] += len(grams)
-            for g in grams:
-                c = left.get(g)
-                if c:
-                    left[g] = c - 1
-                    correct[n] += 1
-
+    stats = [sum(column) for column in zip(*map(segment_stats, hyp_segments, ref_segments))]
+    correct, total, (hyp_len, ref_len) = stats[:NGRAM_ORDER], stats[NGRAM_ORDER:-2], stats[-2:]
     if hyp_len == 0:
         return BleuScore(0.0, (0.0,) * NGRAM_ORDER, 0.0, 0, ref_len, empty_hyp=True)
 
@@ -345,15 +343,21 @@ def corpus_bleu(hyp_segments: list, ref_segments: list) -> BleuScore:
     return BleuScore(score, tuple(precisions), brevity_penalty, hyp_len, ref_len)
 
 
+def resegment_talks(talks) -> list:
+    """Per (hypothesis lines, 13a-tokenized reference segments) talk, the
+    resegment_mwer groups of the lines' joined 13a tokens."""
+    return [resegment_mwer([tok for line in lines for tok in tokenize_13a(line)], refs) for lines, refs in talks]
+
+
 def score_segmentation(segments: list, translations: list, refs: list) -> BleuScore:
     """BLEU of per-segment translations against reference segments.
 
     Translations are concatenated talk by talk, in the order each wav
     first appears in segments, and by offset within a talk, so the
     candidate segmentation's boundaries drop out; the stream is re-split
-    against the references by resegment_mwer, and scored. refs are
-    13a-tokenized reference segments, assumed to list the talks in the
-    candidate's talk order: the order segment and sweep write them.
+    against the references by resegment_talks, as one talk, and scored.
+    refs are 13a-tokenized reference segments, assumed to list the talks
+    in the candidate's talk order: the order segment and sweep write them.
     """
     if len(segments) != len(translations):
         raise ValueError(
@@ -361,8 +365,5 @@ def score_segmentation(segments: list, translations: list, refs: list) -> BleuSc
         )
     talk = {wav: k for k, wav in enumerate(dict.fromkeys(s.wav for s in segments))}
     order = sorted(range(len(segments)), key=lambda i: (talk[segments[i].wav], segments[i].offset))
-    hyp_tokens = []
-    for i in order:
-        hyp_tokens.extend(tokenize_13a(translations[i]))
-    hyp_groups = resegment_mwer(hyp_tokens, refs)
-    return corpus_bleu(hyp_groups, refs)
+    (groups,) = resegment_talks([([translations[i] for i in order], refs)])
+    return corpus_bleu(groups, refs)

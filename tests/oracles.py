@@ -223,7 +223,10 @@ def bleu_recount(hyp_segments, ref_segments):
 
     Same smoothing convention as the scorer under test (halved floor on
     zero-match orders, denominator clamped to 1); the point of the oracle
-    is independent n-gram clipping and accumulation.
+    is independent n-gram clipping and accumulation. Returns (precisions,
+    brevity penalty, score, counts), counts being the per-order clipped
+    matches, the per-order totals, then the hypothesis and reference
+    lengths: ten ints.
     """
     from collections import Counter
 
@@ -239,8 +242,9 @@ def bleu_recount(hyp_segments, ref_segments):
             ref_counts = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
             total[n - 1] += sum(hyp_counts.values())
             correct[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    counts = (*correct, *total, hyp_len, ref_len)
     if hyp_len == 0:
-        return (0.0, 0.0, 0.0, 0.0), 0.0, 0.0
+        return (0.0, 0.0, 0.0, 0.0), 0.0, 0.0, counts
     precisions = []
     smooth = 1.0
     for n in range(4):
@@ -251,7 +255,7 @@ def bleu_recount(hyp_segments, ref_segments):
             precisions.append(1.0 / (smooth * max(total[n], 1)))
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     score = 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / 4.0)
-    return tuple(precisions), bp, score
+    return tuple(precisions), bp, score, counts
 
 
 def tokenize_13a(text):

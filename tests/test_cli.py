@@ -8,13 +8,14 @@ import os
 import random
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stforge import cli, textfilter
+from stforge import cli, evalign, textfilter
 from stforge.audio import AudioClip, load_wav, write_wav
 from stforge.cli import EPOCH_SEED_STRIDE, build_parser, main
 from stforge.config import config_from_dict
@@ -194,13 +195,14 @@ class TestSweep:
         assert out.read_text(encoding="utf-8") == "30\t2\n31\t2\n32\t2\n"
 
     def test_lo_just_above_min_gap_runs(self, frames_file, tmp_path):
-        # this exited 1 with "got 0.2, 0.2": the grid value was rounded to 9 decimals before its check
+        # this exited 1 with "got 0.2, 0.2": the grid value was rounded to 9 decimals before its check;
+        # each cap is lo + k * step, written with every digit, as "0.2" would read back as another value
         out = tmp_path / "sweep.tsv"
         rc = main(["sweep", "--transcripts", str(frames_file), "--lo", "0.2000000001", "--hi", "0.5",
                    "--step", "0.1", "--min-gap", "0.2", "--out", str(out)])
         assert rc == 0
         assert [line.split("\t")[0] for line in out.read_text(encoding="utf-8").splitlines()] == [
-            "0.2", "0.3", "0.4", "0.5"]
+            "0.2000000001", "0.3000000001", "0.4000000001", "0.5000000001"]
 
     def test_huge_finite_grid_runs(self, frames_file, tmp_path):
         # this exited 1 with a bare "cannot convert float infinity to integer"
@@ -210,6 +212,26 @@ class TestSweep:
         assert rc == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 901 and lines[0] == "1e+307\t2" and lines[-1] == "1e+308\t2"
+
+    @pytest.mark.parametrize("lo, hi, step, caps", [
+        ("20", "20.000003", "0.000001", [20.0, 20.000001, 20.000002, 20.000003]),
+        ("1234567", "1234567", "1", [1234567.0]),
+    ])
+    def test_caps_keep_their_digits(self, frames_file, tmp_path, lo, hi, step, caps):
+        # %g kept six digits: the fine grid wrote four "20" rows into one YAML file, and 1234567 read back as 1234570
+        counts, segdir, transdir, curve = (tmp_path / n for n in ("counts.tsv", "segs", "trans", "curve.tsv"))
+        assert main(["sweep", "--transcripts", str(frames_file), "--lo", lo, "--hi", hi, "--step", step,
+                     "--out", str(counts), "--seg-dir", str(segdir)]) == 0
+        shown = [line.split("\t")[0] for line in counts.read_text(encoding="utf-8").splitlines()]
+        assert [float(cap) for cap in shown] == caps
+        assert sorted(p.name for p in segdir.iterdir()) == sorted(f"max_seg_len_{cap}.yaml" for cap in shown)
+        transdir.mkdir()
+        for cap in shown:
+            (transdir / f"max_seg_len_{cap}.txt").write_text("ja\nja\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("ja\nja\n", encoding="utf-8")
+        assert main(["sweep-score", "--segdir", str(segdir), "--trans", str(transdir),
+                     "--ref", str(tmp_path / "ref.txt"), "--out", str(curve)]) == 0
+        assert [line.split("\t")[0] for line in curve.read_text(encoding="utf-8").splitlines()] == shown
 
     @pytest.mark.parametrize("flag, value, shown", [("--hi", "inf", "5.0, inf"), ("--lo", "nan", "nan, 25.0"),
                                                     ("--hi", "nan", "5.0, nan")])
@@ -1179,6 +1201,40 @@ class TestScoreRelations:
     def test_permuting_line_pairs_leaves_the_bleu_line_unchanged(self, pairs, data):
         perm = data.draw(st.permutations(pairs))
         assert score_line(perm) == score_line(pairs)
+
+
+class TestOneScoringPath:
+    @given(st.lists(st.lists(st.sampled_from(SWEEP_WORDS + ["falsch", "."]), max_size=8).map(" ".join),
+                    min_size=1, max_size=6),
+           st.lists(st.lists(st.sampled_from(SWEEP_WORDS + ["."]), min_size=1, max_size=8).map(" ".join),
+                    min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_score_resegment_prints_the_bleu_line_of_sweep_score(self, lines, refs):
+        # score --resegment on lines L and sweep-score on one YAML whose segments carry L in order run one path
+        results = []
+
+        def spy(*args):
+            results.append(evalign.score_segmentation(*args))
+            return results[-1]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            hyp, ref, curve = (os.path.join(tmp, n) for n in ("hyp.txt", "ref.txt", "curve.tsv"))
+            segdir, transdir = os.path.join(tmp, "segs"), os.path.join(tmp, "trans")
+            os.mkdir(segdir)
+            os.mkdir(transdir)
+            for path, text in ((hyp, lines), (ref, refs), (os.path.join(transdir, "max_seg_len_5.txt"), lines)):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write("".join(line + "\n" for line in text))
+            with open(os.path.join(segdir, "max_seg_len_5.yaml"), "w", encoding="utf-8") as fh:
+                fh.write(write_segments_yaml([Segment("talk.wav", float(i), 1.0, "spk") for i in range(len(lines))]))
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(["score", "--hyp", hyp, "--ref", ref, "--resegment"]) == 0
+            with mock.patch.object(cli, "score_segmentation", spy):
+                assert main(["sweep-score", "--segdir", segdir, "--trans", transdir, "--ref", ref, "--out", curve]) == 0
+            with open(curve, encoding="utf-8") as fh:
+                assert fh.read() == f"5\t{results[0].score:.4f}\n"
+        assert buf.getvalue() == cli._bleu_line(results[0]) + "\n"
 
 
 class TestParamsReport:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stforge import coupling
 from stforge.coupling import (
     AdapterParams,
     LengthAdaptorParams,
@@ -414,6 +415,32 @@ class TestCheckpoints:
         back = read_checkpoint(tmp_path / "c.npz")
         for name in good:
             np.testing.assert_array_equal(back[name], good[name])
+
+    @pytest.mark.parametrize("tensor, reason", [
+        (np.array([1 + 2j, 3 + 4j]), "has dtype complex128, not bool, integer or float"),  # kept the real part
+        (np.array([1.0, 1e40]), "holds a finite value past float32's range"),  # stored as inf
+        ("1.5", "has dtype <U3, not bool, integer or float"),  # parsed to 1.5
+    ], ids=["complex", "overflow", "string"])
+    def test_lossy_cast_refused_before_the_file_opens(self, tmp_path, monkeypatch, tensor, reason):
+        good = self.tensors(6)
+        write_checkpoint(tmp_path / "c.npz", good)
+        opened = self.interrupt(monkeypatch, coupling, "atomic_write")
+        with pytest.raises(ValueError, match=f"^tensor 'z.lossy' {re.escape(reason)}$"):
+            write_checkpoint(tmp_path / "c.npz", dict(good, **{"z.lossy": tensor}))  # sorts last: after the others
+        assert not opened
+        assert [p.name for p in tmp_path.iterdir()] == ["c.npz"]
+        back = read_checkpoint(tmp_path / "c.npz")
+        assert sorted(back) == sorted(good)
+        for name in good:
+            np.testing.assert_array_equal(back[name], good[name])
+
+    def test_values_float32_holds_are_kept(self, tmp_path):
+        tensors = {"bool": np.array([True, False]), "int": np.arange(-2, 2, dtype=np.int64), "half": np.float16(1.5),
+                   "edge": np.array([-np.finfo(np.float32).max, np.inf, -np.inf, np.nan, 1e-50], dtype=np.float64)}
+        write_checkpoint(tmp_path / "c.npz", tensors)
+        back = read_checkpoint(tmp_path / "c.npz")
+        for name, want in tensors.items():
+            np.testing.assert_array_equal(back[name], np.asarray(want, np.float32))
 
     @staticmethod
     def interrupt(monkeypatch, owner, attr, at=None):

@@ -15,6 +15,7 @@ from stforge.evalign import (
     corpus_bleu,
     resegment_mwer,
     score_segmentation,
+    segment_stats,
     strip_shared_ends,
     tokenize_13a,
     word_edit_distance,
@@ -361,7 +362,7 @@ class TestCorpusBleu:
 
         def check(hyps, refs, trial):
             result = corpus_bleu(hyps, refs)
-            want_p, want_bp, want_score = bleu_recount(hyps, refs)
+            want_p, want_bp, want_score, _ = bleu_recount(hyps, refs)
             if result.empty_hyp:
                 assert want_score == 0.0
                 return
@@ -384,6 +385,16 @@ class TestCorpusBleu:
             ref[rng.randrange(len(ref))] = rng.choice(vocab)
             ref.append(rng.choice(vocab))
             check(hyps, refs, trial)
+
+    @given(st.lists(st.tuples(*[st.lists(st.sampled_from(["a", "b", "c"]), max_size=7)] * 2), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    @example([([], [])])
+    @example([([], ["a"]), (["a", "a"], [])])
+    def test_summed_segment_stats_match_the_oracle_counts(self, pairs):
+        # empty hypotheses and empty references included: the counts are defined for any pair
+        hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+        summed = tuple(map(sum, zip(*map(segment_stats, hyps, refs)))) or (0,) * 10
+        assert summed == bleu_recount(hyps, refs)[3]
 
     def test_score_bounded(self):
         rng = random.Random(31)
